@@ -9,9 +9,15 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .geometry import Point, orient, segment_relation, SegmentRelation, unit_circle_point
+from .geometry import Point, unit_circle_point
 from .graphs import BLACK, WHITE, GraphWithBoundary, make_graph, validate
-from .immersion import Configuration, is_disc_embedding, is_embedding
+from .immersion import (
+    Configuration,
+    edge_is_clear,
+    edges_cross,
+    is_disc_embedding,
+    is_embedding,
+)
 
 
 class UnrealizableParameters(Exception):
@@ -90,28 +96,14 @@ def _interior_points(rng: Random, count: int, taken: set[Point]) -> list[Point]:
 
 
 def _segment_ok(config: Configuration, vertices, existing, u: str, v: str) -> bool:
-    """Candidate edge may enter: no vertex inside it, no improper meeting."""
-    a, b = config[u], config[v]
-    if a == b:
-        return False
-    for w in vertices:
-        if w in (u, v):
-            continue
-        p = config[w]
-        if orient(a, b, p) != 0:
-            continue
-        d1 = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-        d2 = (p[0] - b[0]) * (a[0] - b[0]) + (p[1] - b[1]) * (a[1] - b[1])
-        if d1 >= 0 and d2 >= 0:
-            return False
-    for (x, y) in existing:
-        rel = segment_relation((a, b), (config[x], config[y]))
-        shared = bool({u, v} & {x, y})
-        if shared and rel is not SegmentRelation.SHARED_ENDPOINT_ONLY:
-            return False
-        if not shared and rel is not SegmentRelation.DISJOINT:
-            return False
-    return True
+    """Candidate edge may enter: no vertex on it, no crossing with a vertex-disjoint edge.
+
+    Every accepted edge passed the same vertex test, so edges sharing a
+    vertex meet only there, as in `is_embedding`.
+    """
+    return edge_is_clear(config, vertices, u, v) and not any(
+        edges_cross(config, (u, v), (x, y)) for x, y in existing if not {u, v} & {x, y}
+    )
 
 
 def _greedy_planar_edges(

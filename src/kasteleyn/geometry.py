@@ -46,21 +46,33 @@ class SegmentRelation(Enum):
     DEGENERATE = "degenerate"
 
 
-def _on_closed_segment(pt: Point, seg: Segment) -> str | None:
-    """Classify pt against the closed segment: 'endpoint', 'interior' or None.
+def point_on_segment(p: Point, a: Point, b: Point) -> str | None:
+    """Where p lies against the closed segment ab: None, 'endpoint' or 'interior'.
 
-    Assumes nothing; collinearity is checked here.
+    A zero-length segment (a == b) reports 'endpoint' for every p, so a
+    caller that rejects any contact also rejects a collapsed edge.
     """
-    a, b = seg
-    if orient(a, b, pt) != 0:
+    if orient(a, b, p) != 0:
         return None
-    d1 = (pt[0] - a[0]) * (b[0] - a[0]) + (pt[1] - a[1]) * (b[1] - a[1])
-    d2 = (pt[0] - b[0]) * (a[0] - b[0]) + (pt[1] - b[1]) * (a[1] - b[1])
+    d1 = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+    d2 = (p[0] - b[0]) * (a[0] - b[0]) + (p[1] - b[1]) * (a[1] - b[1])
     if d1 < 0 or d2 < 0:
         return None
     if d1 == 0 or d2 == 0:
         return "endpoint"
     return "interior"
+
+
+def collinear_overlap(s1: Segment, s2: Segment) -> int:
+    """Sign of the length shared by two collinear segments, s1 of positive length.
+
+    Positive: overlap in a segment; zero: touch at one point; negative: apart.
+    """
+    (p, q), (r, s) = s1, s2
+    axis = 0 if p[0] != q[0] else 1
+    a1, b1 = sorted((p[axis], q[axis]))
+    a2, b2 = sorted((r[axis], s[axis]))
+    return sign_of(min(b1, b2) - max(a1, a2))
 
 
 def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
@@ -82,26 +94,20 @@ def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
             return SegmentRelation.TRANSVERSAL_CROSS
         return SegmentRelation.DISJOINT
     if o1 == 0 and o2 == 0:
-        # Collinear segments: compare 1-d shadows along a non-constant axis.
-        axis = 0 if p[0] != q[0] else 1
-        a1, b1 = sorted((p[axis], q[axis]))
-        a2, b2 = sorted((r[axis], s[axis]))
-        lo, hi = max(a1, a2), min(b1, b2)
-        if lo < hi:
+        overlap = collinear_overlap(s1, s2)
+        if overlap > 0:
             return SegmentRelation.DEGENERATE
-        if lo == hi:
+        if overlap == 0:
             return SegmentRelation.SHARED_ENDPOINT_ONLY
         return SegmentRelation.DISJOINT
-    touches = []
-    for pt, seg in ((r, s1), (s, s1), (p, s2), (q, s2)):
-        where = _on_closed_segment(pt, seg)
-        if where is not None:
-            touches.append(where)
-    if not touches:
-        return SegmentRelation.DISJOINT
+    touches = [
+        point_on_segment(pt, *seg) for pt, seg in ((r, s1), (s, s1), (p, s2), (q, s2))
+    ]
     if "interior" in touches:
         return SegmentRelation.DEGENERATE
-    return SegmentRelation.SHARED_ENDPOINT_ONLY
+    if "endpoint" in touches:
+        return SegmentRelation.SHARED_ENDPOINT_ONLY
+    return SegmentRelation.DISJOINT
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
@@ -297,6 +303,18 @@ def _lin_mul(u0: Fraction, u1: Fraction, v0: Fraction, v1: Fraction):
     return u1 * v1, u0 * v1 + u1 * v0, u0 * v0
 
 
+def _motion_differences(v_start, v_end, a_start, a_end, b_start, b_end):
+    """Coordinates of b - a and v - a along the motion, each as (value at 0, slope)."""
+    bx0, by0 = b_start[0] - a_start[0], b_start[1] - a_start[1]
+    vx0, vy0 = v_start[0] - a_start[0], v_start[1] - a_start[1]
+    return (
+        (bx0, (b_end[0] - a_end[0]) - bx0),
+        (by0, (b_end[1] - a_end[1]) - by0),
+        (vx0, (v_end[0] - a_end[0]) - vx0),
+        (vy0, (v_end[1] - a_end[1]) - vy0),
+    )
+
+
 def motion_collinearity_poly(
     v_start: Point, v_end: Point,
     a_start: Point, a_end: Point,
@@ -307,13 +325,9 @@ def motion_collinearity_poly(
     Roots in (0, 1) are the candidate times at which the vertex path v(t)
     meets the line through the moving edge (a(t), b(t)).
     """
-    # Linear coordinate differences, written as (value at 0, slope).
-    px, px1 = b_start[0] - a_start[0], (b_end[0] - a_end[0]) - (b_start[0] - a_start[0])
-    ry, ry1 = b_start[1] - a_start[1], (b_end[1] - a_end[1]) - (b_start[1] - a_start[1])
-    sx, sx1 = v_start[0] - a_start[0], (v_end[0] - a_end[0]) - (v_start[0] - a_start[0])
-    qy, qy1 = v_start[1] - a_start[1], (v_end[1] - a_end[1]) - (v_start[1] - a_start[1])
-    t2a, t1a, t0a = _lin_mul(px, px1, qy, qy1)
-    t2b, t1b, t0b = _lin_mul(ry, ry1, sx, sx1)
+    bx, by, vx, vy = _motion_differences(v_start, v_end, a_start, a_end, b_start, b_end)
+    t2a, t1a, t0a = _lin_mul(*bx, *vy)
+    t2b, t1b, t0b = _lin_mul(*by, *vx)
     return QuadPoly(t2a - t2b, t1a - t1b, t0a - t0b)
 
 
@@ -327,16 +341,13 @@ def motion_betweenness_polys(
     At a collinearity root both dot products strictly positive means the
     vertex sits strictly between the edge endpoints.
     """
-    px, px1 = b_start[0] - a_start[0], (b_end[0] - a_end[0]) - (b_start[0] - a_start[0])
-    ry, ry1 = b_start[1] - a_start[1], (b_end[1] - a_end[1]) - (b_start[1] - a_start[1])
-    sx, sx1 = v_start[0] - a_start[0], (v_end[0] - a_end[0]) - (v_start[0] - a_start[0])
-    qy, qy1 = v_start[1] - a_start[1], (v_end[1] - a_end[1]) - (v_start[1] - a_start[1])
+    bx, by, vx, vy = _motion_differences(v_start, v_end, a_start, a_end, b_start, b_end)
 
     def add3(u, v):
         return QuadPoly(u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
-    dot_va = add3(_lin_mul(sx, sx1, px, px1), _lin_mul(qy, qy1, ry, ry1))
-    len2 = add3(_lin_mul(px, px1, px, px1), _lin_mul(ry, ry1, ry, ry1))
+    dot_va = add3(_lin_mul(*vx, *bx), _lin_mul(*vy, *by))
+    len2 = add3(_lin_mul(*bx, *bx), _lin_mul(*by, *by))
     # (v-b).(a-b) = |b-a|^2 - (v-a).(b-a)
     dot_vb = QuadPoly(len2.c2 - dot_va.c2, len2.c1 - dot_va.c1, len2.c0 - dot_va.c0)
     return dot_va, dot_vb, len2

@@ -45,10 +45,10 @@ def _number(line_no: int, col: int, token: str, what: str) -> Fraction:
         raise GraphFileError(
             line_no, col, f"{what} {token!r} is not an integer or fraction p/q"
         )
-    value = Fraction(token)
-    if value.denominator == 0:
+    _, _, denominator = token.partition("/")
+    if denominator and int(denominator) == 0:
         raise GraphFileError(line_no, col, f"{what} {token!r} has zero denominator")
-    return value
+    return Fraction(token)
 
 
 def parse(text: str) -> tuple[GraphWithBoundary, Configuration]:

@@ -126,6 +126,15 @@ class ValidationReport:
         return not self.problems
 
 
+def bipartite_vertex_classes(g: GraphWithBoundary) -> tuple[list, list]:
+    """Row/column vertex orders: blacks, then internal whites + boundary."""
+    blacks = [v for v in g.vertices if g.color[v] == BLACK]
+    internal_whites = [
+        v for v in g.vertices if g.color[v] == WHITE and v not in g.boundary_set
+    ]
+    return blacks, internal_whites + list(g.boundary)
+
+
 def validate(g: GraphWithBoundary, mode: str) -> ValidationReport:
     """Check the hypotheses of the counting theorems for the given mode.
 
@@ -157,11 +166,8 @@ def validate(g: GraphWithBoundary, mode: str) -> ValidationReport:
         for b in g.boundary:
             if b in g.vertex_index and g.color[b] != WHITE:
                 problems.append(f"boundary vertex {b!r} is not white")
-        blacks = [v for v in g.vertices if g.color[v] == BLACK]
-        internal_whites = [
-            v for v in g.vertices if g.color[v] == WHITE and v not in g.boundary_set
-        ]
-        n_internal = len(internal_whites)
+        blacks, whites = bipartite_vertex_classes(g)
+        n_internal = len(whites) - len(g.boundary)
         k = len(blacks) - n_internal
         if k < 0:
             problems.append(

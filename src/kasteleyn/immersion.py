@@ -18,14 +18,16 @@ from .geometry import (
     Point,
     SegmentRelation,
     circle_sort_key,
+    collinear_overlap,
     inside_unit_circle,
     on_unit_circle,
     orient,
+    point_on_segment,
     segment_relation,
     unit_circle_param,
     unit_circle_point,
 )
-from .graphs import BLACK, WHITE, GraphWithBoundary, Matching
+from .graphs import BLACK, WHITE, GraphWithBoundary, Matching, bipartite_vertex_classes
 
 Configuration = dict  # vertex id -> Point
 
@@ -73,49 +75,45 @@ def is_generic(g: GraphWithBoundary, c: Configuration) -> bool:
         for j in range(i + 1, len(edges)):
             s1, s2 = _segment(c, edges[i]), _segment(c, edges[j])
             if orient(s1[0], s1[1], s2[0]) == 0 and orient(s1[0], s1[1], s2[1]) == 0:
-                axis = 0 if s1[0][0] != s1[1][0] else 1
-                a1, b1 = sorted((s1[0][axis], s1[1][axis]))
-                a2, b2 = sorted((s2[0][axis], s2[1][axis]))
-                if max(a1, a2) < min(b1, b2):
+                if collinear_overlap(s1, s2) > 0:
                     return False
     return True
+
+
+def edge_is_clear(c: Configuration, vertices, u, v) -> bool:
+    """The edge uv has positive length and no other vertex on it."""
+    a, b = c[u], c[v]
+    return a != b and all(
+        point_on_segment(c[w], a, b) is None for w in vertices if w != u and w != v
+    )
+
+
+def edges_cross(c: Configuration, e1, e2) -> bool:
+    """The two edges cross at one point interior to both."""
+    rel = segment_relation(_segment(c, e1), _segment(c, e2))
+    return rel is SegmentRelation.TRANSVERSAL_CROSS
 
 
 def is_immersion(g: GraphWithBoundary, c: Configuration) -> bool:
     """Every edge has positive length and no vertex sits on a non-incident edge."""
     _check_total(g, c)
-    for u, v in g.sorted_edges:
-        if c[u] == c[v]:
-            return False
-    for u, v in g.sorted_edges:
-        a, b = c[u], c[v]
-        for w in g.vertices:
-            if w in (u, v):
-                continue
-            p = c[w]
-            if orient(a, b, p) != 0:
-                continue
-            d1 = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-            d2 = (p[0] - b[0]) * (a[0] - b[0]) + (p[1] - b[1]) * (a[1] - b[1])
-            if d1 >= 0 and d2 >= 0:
-                return False
-    return True
+    return all(edge_is_clear(c, g.vertices, u, v) for u, v in g.sorted_edges)
 
 
 def is_embedding(g: GraphWithBoundary, c: Configuration) -> bool:
-    """Crossing-free immersion: a planar straight-line drawing."""
+    """Crossing-free immersion: a planar straight-line drawing.
+
+    In an immersion, edges sharing a vertex meet only there, and two
+    edges without a common vertex either cross transversally or are
+    disjoint; so only the crossings of the latter need testing.
+    """
     if not is_immersion(g, c):
         return False
     edges = g.sorted_edges
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
             e1, e2 = edges[i], edges[j]
-            rel = segment_relation(_segment(c, e1), _segment(c, e2))
-            adjacent = bool(set(e1) & set(e2))
-            if adjacent:
-                if rel is not SegmentRelation.SHARED_ENDPOINT_ONLY:
-                    return False
-            elif rel is not SegmentRelation.DISJOINT:
+            if not set(e1) & set(e2) and edges_cross(c, e1, e2):
                 return False
     return True
 
@@ -178,14 +176,6 @@ def scale_to_unit_disc(c: Configuration, margin: Fraction = Fraction(1, 8)) -> C
     return {v: ((p[0] - cx) / scale, (p[1] - cy) / scale) for v, p in c.items()}
 
 
-def snap_to_circle(p: Point, max_denominator: int = 1 << 12) -> Point:
-    """Nearest bounded-denominator rational circle point (half-angle grid)."""
-    if p == (Fraction(-1), Fraction(0)):
-        return p
-    t = Fraction(p[1], 1 + p[0]).limit_denominator(max_denominator)
-    return unit_circle_point(t)
-
-
 def _mode_of(g: GraphWithBoundary, bipartite: bool) -> str:
     if bipartite:
         return BIPARTITE_BOUNDARY if g.boundary else BIPARTITE_CLOSED
@@ -217,15 +207,6 @@ def _arc_parameters(p_from: Point, p_to: Point, m: int, rng: Random) -> list[Fra
         return [t_from + j + _jitter(rng) / 2 for j in range(1, m + 1)]
     step = (t_to - t_from) / (m + 1)
     return [t_from + j * step + _jitter(rng) * step / 2 for j in range(1, m + 1)]
-
-
-def bipartite_vertex_classes(g: GraphWithBoundary) -> tuple[list, list]:
-    """Row/column vertex orders: blacks, then internal whites + boundary."""
-    blacks = [v for v in g.vertices if g.color[v] == BLACK]
-    internal_whites = [
-        v for v in g.vertices if g.color[v] == WHITE and v not in g.boundary_set
-    ]
-    return blacks, internal_whites + list(g.boundary)
 
 
 def canonical_start(
@@ -267,11 +248,8 @@ def canonical_start(
             raise ValueError(f"target boundary vertex {b!r} is not on the unit circle")
         config[b] = target[b]
     if mode == BIPARTITE_BOUNDARY:
-        blacks, _ = bipartite_vertex_classes(g)
-        internal_whites = [
-            v for v in g.vertices if g.color[v] == WHITE and v not in g.boundary_set
-        ]
-        free = list(reversed(blacks)) + internal_whites
+        blacks, whites = bipartite_vertex_classes(g)
+        free = list(reversed(blacks)) + whites[: -len(g.boundary)]
     else:
         free = list(g.internal_vertices)
     params = _arc_parameters(target[g.boundary[-1]], target[g.boundary[0]], len(free), rng)

@@ -17,14 +17,13 @@ from itertools import combinations
 from typing import Mapping
 
 from . import linalg
-from .graphs import GraphWithBoundary, edge_key, validate
+from .graphs import GraphWithBoundary, bipartite_vertex_classes, edge_key, validate
 from .immersion import (
     BIPARTITE_BOUNDARY,
     BIPARTITE_CLOSED,
     GENERAL_BOUNDARY,
     GENERAL_CLOSED,
     Configuration,
-    bipartite_vertex_classes,
     is_disc_embedding,
     is_embedding,
     is_immersion,
@@ -195,11 +194,6 @@ def skew_kasteleyn_matrix(
         rows[j][i] = -value
     m = linalg.skew(rows, tuple(order))
     return SkewKasteleynMatrix(m, g, report.n_internal, weights, seed, assignment)
-
-
-def total_count(matrix) -> Fraction:
-    """The measurement of the empty boundary trace (the closed count)."""
-    return matrix.measurement(())
 
 
 @dataclass(frozen=True)

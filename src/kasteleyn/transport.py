@@ -22,7 +22,7 @@ from .geometry import (
     QuadNum,
     motion_betweenness_polys,
     motion_collinearity_poly,
-    orient,
+    point_on_segment,
     roots_in_open_unit_interval,
 )
 from .graphs import GraphWithBoundary
@@ -164,27 +164,6 @@ def build_path(
     return PathPlan(tuple(deduped), pinned)
 
 
-def _betweenness_at_fraction(w0, w1, v, a, b, t: Fraction) -> str:
-    """Classify the vertex against the closed edge at a rational time.
-
-    Returns 'between', 'endpoint', 'outside' or 'collapsed'; assumes the
-    three points are collinear at time t.
-    """
-    def at(x0, x1):
-        return (x0[0] + (x1[0] - x0[0]) * t, x0[1] + (x1[1] - x0[1]) * t)
-
-    pv, pa, pb = at(w0[v], w1[v]), at(w0[a], w1[a]), at(w0[b], w1[b])
-    if pa == pb:
-        return "collapsed"
-    d1 = (pv[0] - pa[0]) * (pb[0] - pa[0]) + (pv[1] - pa[1]) * (pb[1] - pa[1])
-    d2 = (pv[0] - pb[0]) * (pa[0] - pb[0]) + (pv[1] - pb[1]) * (pa[1] - pb[1])
-    if d1 > 0 and d2 > 0:
-        return "between"
-    if d1 == 0 or d2 == 0:
-        return "endpoint"
-    return "outside"
-
-
 def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> SignAssignment:
     """Accumulate edge sign flips over every vertex-through-edge event.
 
@@ -208,10 +187,7 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
                 if v == a or v == b:
                     continue
                 if v not in moving and a not in moving and b not in moving:
-                    where = "outside"
-                    if orient(w0[a], w0[b], w0[v]) == 0:
-                        where = _betweenness_at_fraction(w0, w1, v, a, b, Fraction(0))
-                    if where != "outside":
+                    if point_on_segment(w0[v], w0[a], w0[b]) is not None:
                         raise DegeneratePath(
                             f"static vertex {v!r} rests on edge {e} (segment {si})"
                         )
@@ -222,14 +198,13 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
                     raise DegeneratePath(
                         f"vertex {v!r} stays collinear with edge {e} on segment {si}"
                     )
-                for junction in (Fraction(0), Fraction(1)):
-                    if f(junction) == 0:
-                        where = _betweenness_at_fraction(w0, w1, v, a, b, junction)
-                        if where != "outside":
-                            raise DegeneratePath(
-                                f"vertex {v!r} meets edge {e} exactly at a "
-                                f"waypoint of segment {si} ({where})"
-                            )
+                for w in (w0, w1):
+                    where = point_on_segment(w[v], w[a], w[b])
+                    if where is not None:
+                        raise DegeneratePath(
+                            f"vertex {v!r} meets edge {e} exactly at a "
+                            f"waypoint of segment {si} ({where})"
+                        )
                 roots = roots_in_open_unit_interval(f)
                 if not roots:
                     continue

@@ -38,6 +38,14 @@ class TestCount:
         code, _, err = run(capsys, "count", "no_such_file.kg")
         assert code == 2
 
+    def test_zero_denominator_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.kg"
+        path.write_text("vertex a black 1/0 0\nvertex b white 1 0\nedge a b\n")
+        code, out, err = run(capsys, "count", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: line 1, column 16: coordinate '1/0' has zero denominator\n"
+
     def test_outputs_are_reproducible(self, capsys):
         one = run(capsys, "count", fixture("aztec2"), "--seed", "5")
         two = run(capsys, "count", fixture("aztec2"), "--seed", "5")

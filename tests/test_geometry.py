@@ -11,6 +11,7 @@ from kasteleyn.geometry import (
     motion_collinearity_poly,
     on_unit_circle,
     orient,
+    point_on_segment,
     roots_in_open_unit_interval,
     segment_relation,
     sign_at,
@@ -75,6 +76,25 @@ class TestSegmentRelation:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
             segment_relation((pt(0, 0), pt(0, 0)), (pt(1, 0), pt(2, 0)))
+
+
+class TestPointOnSegment:
+    @pytest.mark.parametrize(
+        "p,a,b,where",
+        [
+            (pt(1, 1), pt(0, 0), pt(2, 2), "interior"),
+            (pt(0, 0), pt(0, 0), pt(2, 2), "endpoint"),
+            (pt(2, 2), pt(0, 0), pt(2, 2), "endpoint"),
+            (pt(1, 0), pt(0, 0), pt(2, 2), None),  # off the line
+            (pt(3, 3), pt(0, 0), pt(2, 2), None),  # collinear, beyond b
+            (pt(-1, -1), pt(0, 0), pt(2, 2), None),  # collinear, before a
+            (pt(1, 1), pt(0, 0), pt(0, 0), "endpoint"),  # zero length
+            (pt(0, 0), pt(0, 0), pt(0, 0), "endpoint"),
+        ],
+    )
+    def test_table(self, p, a, b, where):
+        assert point_on_segment(p, a, b) == where
+        assert point_on_segment(p, b, a) == where
 
 
 class TestQuadNum:

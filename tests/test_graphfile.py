@@ -73,6 +73,20 @@ class TestParse:
         with pytest.raises(GraphFileError):
             K.parse("vertex a plain 0 0\nvertex b plain 1 0\nedge a b 0\n")
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            ("vertex a plain 1/0 0\n", 16),
+            ("vertex a plain 0 0\nvertex b plain 1 0\nedge a b 3/00\n", 10),
+        ],
+        ids=["coordinate", "weight"],
+    )
+    def test_zero_denominator_rejected(self, text, column):
+        with pytest.raises(GraphFileError) as err:
+            K.parse(text)
+        assert err.value.column == column
+        assert "zero denominator" in err.value.reason
+
     def test_unknown_directive(self):
         with pytest.raises(GraphFileError) as err:
             K.parse("vertices a plain 0 0\n")

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,24 @@ class TestConstruction:
         assert K.matching_weight(g, frozenset({("a", "b")}), g.weights) == F(3, 2)
 
 
+PINNED_SHAPES = {
+    "general10+8": lambda s: K.generate_random_disc_graph("general", 10, 8, seed=s),
+    "bipartite12+4k2": lambda s: K.generate_random_disc_graph("bipartite", 12, 4, k=2, seed=s),
+    "triangulation24": lambda s: K.generate_triangulation_subgraph(24, seed=s, drop_one_in=8),
+}
+
+# sha256 of serialize(g, c).  Benchmark instances are drawn from these
+# generators, so their output must not drift from one version to the next.
+PINNED_DIGESTS = {
+    ("general10+8", 0): "02e3afea92458a0dd2c0ef8467dfa1217e7a378e5de68d2ed6b1e725e21a6da5",
+    ("general10+8", 2): "3fccff45b920570f2840a2324dd58eaf96b54be2972174d89eaa94b00ad411e3",
+    ("bipartite12+4k2", 0): "a8db182cff2e01103a5c2b645cfff181da4c9be059e70d80b3c5b4b060391643",
+    ("bipartite12+4k2", 1): "2b12df7c2db23b40b58ac6af733747df7c25008bce875671635fb7b0b22758c4",
+    ("triangulation24", 0): "98fa94a70a47b67dc158fd442f99b90aae2a5077dec79abd19d891a1cc9364ae",
+    ("triangulation24", 1): "849de83b0c395a60605b729545e758675f1a3436f1ef194e268022214da45c2f",
+}
+
+
 class TestGenerators:
     @pytest.mark.parametrize("rows,cols,count", [(2, 2, 2), (2, 3, 3), (4, 4, 36)])
     def test_grid_counts(self, rows, cols, count):
@@ -158,6 +177,12 @@ class TestGenerators:
 
         with pytest.raises(UnrealizableParameters):
             K.generate_random_disc_graph("bipartite", 2, n_internal=1, k=3, seed=0)
+
+    @pytest.mark.parametrize("shape,seed", sorted(PINNED_DIGESTS))
+    def test_generator_output_is_pinned(self, shape, seed):
+        g, c = PINNED_SHAPES[shape](seed)
+        digest = hashlib.sha256(K.serialize(g, c).encode()).hexdigest()
+        assert digest == PINNED_DIGESTS[shape, seed]
 
     def test_triangulation_subgraph_is_planar(self):
         g, c = K.generate_triangulation_subgraph(9, seed=2)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -77,6 +78,40 @@ class TestPredicates:
             assert K.is_embedding(g, c)
             assert K.is_immersion(g, c)
             assert K.is_generic(g, c)
+
+
+def _pairwise_embedding_rule(g, c):
+    """Reference: immersion, and every edge pair classified by segment_relation."""
+    if not K.is_immersion(g, c):
+        return False
+    edges = g.sorted_edges
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            rel = K.segment_relation((c[edges[i][0]], c[edges[i][1]]),
+                                     (c[edges[j][0]], c[edges[j][1]]))
+            if set(edges[i]) & set(edges[j]):
+                if rel is not K.SegmentRelation.SHARED_ENDPOINT_ONLY:
+                    return False
+            elif rel is not K.SegmentRelation.DISJOINT:
+                return False
+    return True
+
+
+class TestEmbeddingRule:
+    def test_matches_pairwise_classification(self):
+        # Small integer grids make collinear and touching edges common.
+        rng = Random(11)
+        outcomes = set()
+        for _ in range(1500):
+            n = rng.randrange(3, 7)
+            vs = [f"v{i}" for i in range(n)]
+            pairs = list(combinations(vs, 2))
+            g = K.make_graph(vs, {}, rng.sample(pairs, rng.randrange(1, len(pairs) + 1)))
+            c = {v: (F(rng.randrange(3)), F(rng.randrange(3))) for v in vs}
+            expected = _pairwise_embedding_rule(g, c)
+            assert K.is_embedding(g, c) == expected
+            outcomes.add((K.is_immersion(g, c), expected))
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 class TestDiscEmbedding:
