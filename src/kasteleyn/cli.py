@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 
 from .graphfile import GraphFileError, parse
 from .graphs import validate
@@ -20,6 +21,7 @@ from .identities import (
 )
 from .immersion import detect_mode, BIPARTITE_BOUNDARY, BIPARTITE_CLOSED
 from .measurements import (
+    MATERIALIZE_LIMIT,
     grassmann_point,
     kasteleyn_matrix,
     measurement_table,
@@ -49,7 +51,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFileError(0, 0, f"cannot read {path}: {exc}") from exc
     return parse(text)
 
@@ -203,9 +205,7 @@ def cmd_oracle(args) -> int:
             [str(value)],
         )
         return EXIT_OK
-    from itertools import combinations
-
-    if len(g.boundary) > 16:
+    if len(g.boundary) > MATERIALIZE_LIMIT:
         raise ValidationFailure("boundary too large to tabulate; pass --subset")
     subsets = [
         frozenset(s)
@@ -217,13 +217,6 @@ def cmd_oracle(args) -> int:
     lines = [f"{key or '(empty)'}: {val}" for key, val in values.items()]
     _emit(args, {"signed": args.signed, "values": values}, lines)
     return EXIT_OK
-
-
-def _circular_quadruples(boundary):
-    from itertools import combinations
-
-    for quad in combinations(range(len(boundary)), 4):
-        yield tuple(boundary[i] for i in quad)
 
 
 def cmd_check(args) -> int:
@@ -241,7 +234,7 @@ def cmd_check(args) -> int:
             ran_any = True
         if which in ("plucker", "all") and matrix.k == 2 and len(g.boundary) >= 4:
             point = grassmann_point(g, matrix)
-            for quad in _circular_quadruples(g.boundary):
+            for quad in combinations(g.boundary, 4):
                 reports.append(check_plucker_three_term(point, quad))
             ran_any = True
 

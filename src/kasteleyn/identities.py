@@ -20,6 +20,10 @@ from .measurements import (
     SkewKasteleynMatrix,
 )
 
+# check_pfaffian_consistency: every subset up to this boundary size, else a sample.
+EXHAUSTIVE_LIMIT = 12
+SAMPLE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -98,8 +102,6 @@ def check_pfaffian_consistency(
     x: SkewKasteleynMatrix,
     y: PfaffianPoint,
     seed: int = 0,
-    exhaustive_limit: int = 12,
-    sample: int = 256,
 ) -> IdentityReport:
     """Pf(X on internals+I) = Pf(Y on I) * Pf(X on internals) for each I."""
     if tuple(y.boundary) != tuple(x.boundary):
@@ -107,9 +109,9 @@ def check_pfaffian_consistency(
     n = len(x.boundary)
     base = x.measurement(())
     subsets = [s for size in range(n + 1) for s in combinations(x.boundary, size)]
-    if n > exhaustive_limit:
+    if n > EXHAUSTIVE_LIMIT:
         rng = Random(f"pfaffian-consistency:{seed}")
-        subsets = rng.sample(subsets, min(sample, len(subsets)))
+        subsets = rng.sample(subsets, min(SAMPLE_SIZE, len(subsets)))
     checked = 0
     for subset in subsets:
         lhs = x.measurement(subset)

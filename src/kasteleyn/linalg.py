@@ -1,10 +1,11 @@
 """Exact rational linear algebra: determinants, minors, Pfaffians, reductions.
 
 Determinants use fraction-free Bareiss elimination (intermediate values
-stay integral for integral input).  Pfaffians use skew elimination by unit
-congruences with full pivoting.  The two block reductions preserve the
-exact minor/Pfaffian-minor contracts they are named for and verify a
-sample of them before returning.
+stay integral for integral input).  Pfaffians and the skew block reduction
+share one skew elimination by unit congruences, which pairs each row with
+the first later free column holding a nonzero entry.  The block reductions
+preserve the exact minor/Pfaffian-minor contracts they are named for and
+verify a sample of them before returning.
 """
 
 from __future__ import annotations
@@ -220,36 +221,48 @@ def _verify_left_block(k_matrix: RatMatrix, bottom: RatMatrix, n_left: int) -> N
             )
 
 
+def _skew_eliminate(x: SkewMatrix, n_leading: int) -> tuple[Fraction, list, list]:
+    """Pair pivots inside the leading block by unit congruences.
+
+    The first free row i pairs with the first free j where work[i][j] != 0;
+    moving j next to i passes pos free indices, hence the sign (-1)^pos.
+    Rows without a pivot go to rest.  For every subset I of the trailing
+    indices, Pf(x on leading + I) = scale * Pf(work on rest + I).
+    """
+    work = [list(row) for row in x.matrix.entries]
+    trailing = range(n_leading, x.dimension)
+    free = list(range(n_leading))
+    rest: list = []
+    scale = Fraction(1)
+    while free:
+        i = free.pop(0)
+        row_i = work[i]
+        pos = next((p for p, j in enumerate(free) if row_i[j] != 0), None)
+        if pos is None:
+            rest.append(i)
+            if not any(row_i[t] for t in trailing):
+                break  # a zero row: both sides of the contract vanish
+            continue
+        j = free.pop(pos)
+        row_j = work[j]
+        pivot = row_i[j]
+        scale *= -pivot if pos % 2 else pivot
+        live = free + list(trailing)  # rest rows and columns are zero on i, j
+        for r in live:
+            row_r = work[r]
+            a, b = row_r[i] / pivot, row_r[j] / pivot
+            if a or b:
+                for c in live:
+                    row_r[c] += a * row_j[c] - b * row_i[c]
+    return scale, rest, work
+
+
 def pfaffian(x: SkewMatrix) -> Fraction:
     """Exact Pfaffian; zero for odd dimension, one for the empty matrix."""
-    n = x.dimension
-    if n == 0:
-        return Fraction(1)
-    if n % 2:
+    if x.dimension % 2:
         return Fraction(0)
-    work = [list(row) for row in x.matrix.entries]
-    sign = 1
-    result = Fraction(1)
-    for i in range(0, n, 2):
-        pivot_col = next((j for j in range(i + 1, n) if work[i][j] != 0), None)
-        if pivot_col is None:
-            return Fraction(0)
-        if pivot_col != i + 1:
-            work[i + 1], work[pivot_col] = work[pivot_col], work[i + 1]
-            for row in work:
-                row[i + 1], row[pivot_col] = row[pivot_col], row[i + 1]
-            sign = -sign
-        pivot = work[i][i + 1]
-        result *= pivot
-        for r in range(i + 2, n):
-            alpha = work[i][r] / pivot
-            beta = work[i + 1][r] / pivot
-            for j in range(n):
-                work[r][j] += -alpha * work[i + 1][j] + beta * work[i][j]
-            # The matching column operation is forced by skew symmetry.
-            for j in range(n):
-                work[j][r] = -work[r][j]
-    return sign * result
+    scale, rest, _ = _skew_eliminate(x, x.dimension)
+    return Fraction(0) if rest else scale
 
 
 def pfaffian_minor(x: SkewMatrix, keep: Iterable[int]) -> Fraction:
@@ -273,32 +286,20 @@ def standard_skew_blocks(n: int, labels=None) -> SkewMatrix:
     return skew(rows, labels)
 
 
-def _symplectic_rows(x: SkewMatrix, n_leading: int) -> list:
-    """Rows of S with S X S^T equal to the standard skew blocks."""
-    block = [[x[i, j] for j in range(n_leading)] for i in range(n_leading)]
+def reduce_leading_block(x: SkewMatrix, n_leading: int) -> tuple[Fraction, SkewMatrix]:
+    """Eliminate the leading block; r holds the rest rows, then the trailing ones.
 
-    def pair(u, w):
-        return sum(
-            u[i] * block[i][j] * w[j] for i in range(n_leading) for j in range(n_leading)
-        )
-
-    remaining = [
-        [Fraction(1 if i == j else 0) for j in range(n_leading)] for i in range(n_leading)
-    ]
-    ordered: list = []
-    while remaining:
-        u = remaining.pop(0)
-        partner = next((i for i, w in enumerate(remaining) if pair(u, w) != 0), None)
-        if partner is None:
-            raise SingularLeadingBlock("leading skew block is singular")
-        w = remaining.pop(partner)
-        scale = pair(u, w)
-        w = [wi / scale for wi in w]
-        for idx, r in enumerate(remaining):
-            ru, rw = pair(r, u), pair(r, w)
-            remaining[idx] = [ri - rw * ui + ru * wi for ri, ui, wi in zip(r, u, w)]
-        ordered.extend([u, w])
-    return ordered
+    For every subset I of the trailing indices,
+    Pf(x on leading + I) = scale * Pf(r on rest + I).  Rest is empty exactly
+    when the leading block is nonsingular.  A sample is re-checked.
+    """
+    if not 0 <= n_leading <= x.dimension:
+        raise ValueError("leading block size out of range")
+    scale, rest, work = _skew_eliminate(x, n_leading)
+    keep = rest + list(range(n_leading, x.dimension))
+    r = skew([[work[i][j] for j in keep] for i in keep], [x.labels[i] for i in keep])
+    _verify_congruence(x, scale, r, n_leading)
+    return scale, r
 
 
 def skew_congruence_reduce(x: SkewMatrix, n_leading: int) -> SkewMatrix:
@@ -307,51 +308,24 @@ def skew_congruence_reduce(x: SkewMatrix, n_leading: int) -> SkewMatrix:
     Returns the trailing skew block Y with, for every subset I of the
     trailing indices, Pf(x on leading+I) = Pf(x leading block) * Pf(Y on I).
     """
-    n = x.dimension
-    if not 0 <= n_leading <= n:
+    if not 0 <= n_leading <= x.dimension:
         raise ValueError("leading block size out of range")
     if n_leading % 2:
         raise OddLeadingBlock("leading block must have even dimension")
-    trailing = n - n_leading
-    labels = tuple(x.labels[n_leading:])
-    if n_leading == 0:
-        return SkewMatrix(x.matrix.submatrix(range(n), range(n)))
-    s_rows = _symplectic_rows(x, n_leading)
-    # E = S F with F the leading-by-trailing block; Y = Z - E^T J E.
-    f_block = [[x[i, n_leading + j] for j in range(trailing)] for i in range(n_leading)]
-    e_block = [
-        [
-            sum(s_rows[r][i] * f_block[i][j] for i in range(n_leading))
-            for j in range(trailing)
-        ]
-        for r in range(n_leading)
-    ]
-    y_rows = [
-        [x[n_leading + i, n_leading + j] for j in range(trailing)] for i in range(trailing)
-    ]
-    for col_a in range(trailing):
-        for col_b in range(trailing):
-            correction = Fraction(0)
-            for r in range(0, n_leading, 2):
-                # (E^T J E)_{ab} uses J's 2x2 blocks only.
-                correction += e_block[r][col_a] * e_block[r + 1][col_b]
-                correction -= e_block[r + 1][col_a] * e_block[r][col_b]
-            y_rows[col_a][col_b] -= correction
-    result = skew(y_rows, labels)
-    _verify_congruence(x, result, n_leading)
-    return result
+    _, y = reduce_leading_block(x, n_leading)
+    if y.dimension > x.dimension - n_leading:
+        raise SingularLeadingBlock("leading skew block is singular")
+    return y
 
 
-def _verify_congruence(x: SkewMatrix, y: SkewMatrix, n_leading: int) -> None:
+def _verify_congruence(x: SkewMatrix, scale: Fraction, r: SkewMatrix, n_leading: int) -> None:
     trailing = x.dimension - n_leading
-    base = pfaffian_minor(x, range(n_leading))
-    sizes = [s for s in range(0, trailing + 1)]
-    subsets = [s for size in sizes for s in combinations(range(trailing), size)]
+    n_rest = r.dimension - trailing
+    subsets = [s for size in range(trailing + 1) for s in combinations(range(trailing), size)]
     if len(subsets) > 16:
-        rng = Random(f"congruence:{x.dimension}")
-        subsets = rng.sample(subsets, 16)
+        subsets = Random(f"congruence:{x.dimension}").sample(subsets, 16)
     for subset in subsets:
         lhs = pfaffian_minor(x, list(range(n_leading)) + [n_leading + j for j in subset])
-        rhs = base * pfaffian_minor(y, subset)
+        rhs = scale * pfaffian_minor(r, list(range(n_rest)) + [n_rest + j for j in subset])
         if lhs != rhs:
             raise AssertionError(f"congruence reduction broke Pf on subset {subset}")

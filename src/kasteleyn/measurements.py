@@ -7,12 +7,16 @@ produces the skew analogue whose Pfaffian minors do the same.  From these
 follow the row-reduced boundary matrix whose maximal minors are the same
 counts (a nonnegative point in a Grassmannian, projectively) and the
 boundary skew matrix Y with Pf(Y_I) * D(empty) = D(I).
+
+Tables and Grassmann points read every D(I) from one block reduction
+(`boundary_values`); `measurement` stays the full-size minor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -48,8 +52,20 @@ def _check_target(g: GraphWithBoundary, target: Configuration, require_embedded:
         raise ValueError("target is not an immersion")
 
 
+class _BoundaryColumns:
+    """Boundary labels and positions shared by both matrix kinds."""
+
+    @property
+    def boundary(self) -> tuple:
+        return self.graph.boundary
+
+    def boundary_positions(self, subset) -> list[int]:
+        order = {b: i for i, b in enumerate(self.boundary)}
+        return sorted(order[b] for b in subset)
+
+
 @dataclass(frozen=True)
-class KasteleynMatrix:
+class KasteleynMatrix(_BoundaryColumns):
     matrix: linalg.RatMatrix  # rows: blacks; cols: internal whites then boundary
     graph: GraphWithBoundary
     n_internal: int
@@ -61,14 +77,6 @@ class KasteleynMatrix:
     def k(self) -> int:
         return self.matrix.shape[0] - self.n_internal
 
-    @property
-    def boundary(self) -> tuple:
-        return self.graph.boundary
-
-    def boundary_positions(self, subset) -> list[int]:
-        order = {b: i for i, b in enumerate(self.boundary)}
-        return sorted(order[b] for b in subset)
-
     def measurement(self, subset) -> Fraction:
         """det of the minor on all rows, internal columns plus the subset."""
         subset = frozenset(subset)
@@ -78,6 +86,25 @@ class KasteleynMatrix:
             self.n_internal + p for p in self.boundary_positions(subset)
         ]
         return linalg.minor(self.matrix, list(range(self.matrix.shape[0])), cols)
+
+    @cached_property
+    def boundary_matrix(self) -> linalg.RatMatrix:
+        """k x n matrix whose maximal minors are the measurements (k > 0)."""
+        try:
+            return linalg.reduce_left_block(self.matrix, self.n_internal)
+        except linalg.SingularLeftBlock:  # no matchings at all
+            zero = [[0] * len(self.boundary)] * self.k
+            return linalg.matrix(zero, self.matrix.row_labels[self.n_internal:], self.boundary)
+
+    def boundary_values(self, subsets) -> list[Fraction]:
+        """measurement() of each subset, as k x k minors of boundary_matrix."""
+        if self.k == 0:  # boundary_matrix has no rows: det of the internal block is lost
+            return [self.measurement(s) for s in subsets]
+        L, rows = self.boundary_matrix, range(self.k)
+        return [
+            linalg.minor(L, rows, self.boundary_positions(s)) if len(s) == self.k else Fraction(0)
+            for s in subsets
+        ]
 
     def to_jsonable(self) -> dict:
         return {
@@ -91,21 +118,13 @@ class KasteleynMatrix:
 
 
 @dataclass(frozen=True)
-class SkewKasteleynMatrix:
+class SkewKasteleynMatrix(_BoundaryColumns):
     matrix: linalg.SkewMatrix  # labels: internal vertices then boundary
     graph: GraphWithBoundary
     n_internal: int
     weights: Mapping | None
     seed: int
     assignment: SignAssignment
-
-    @property
-    def boundary(self) -> tuple:
-        return self.graph.boundary
-
-    def boundary_positions(self, subset) -> list[int]:
-        order = {b: i for i, b in enumerate(self.boundary)}
-        return sorted(order[b] for b in subset)
 
     def measurement(self, subset) -> Fraction:
         """Pfaffian of the principal minor on internals plus the subset."""
@@ -114,6 +133,16 @@ class SkewKasteleynMatrix:
             self.n_internal + p for p in self.boundary_positions(subset)
         ]
         return linalg.pfaffian_minor(self.matrix, keep)
+
+    def boundary_values(self, subsets) -> list[Fraction]:
+        """measurement() of each subset, as scale * Pf(r on rest + I)."""
+        scale, r = linalg.reduce_leading_block(self.matrix, self.n_internal)
+        n_rest = r.dimension - len(self.boundary)
+        rest = list(range(n_rest))
+        return [
+            scale * linalg.pfaffian_minor(r, rest + [n_rest + p for p in self.boundary_positions(s)])
+            for s in subsets
+        ]
 
     def to_jsonable(self) -> dict:
         return {
@@ -256,22 +285,16 @@ def measurement_table(
             f"boundary of size {n} exceeds the materialization limit "
             f"{materialize_limit}; query the matrix per subset"
         )
-    values = {}
     if mode == "bipartite":
         k = matrix.k
-        if 0 <= k <= n:
-            for subset in combinations(g.boundary, k):
-                values[frozenset(subset)] = matrix.measurement(subset)
-        return MeasurementTable(
-            mode, g.boundary, matrix.n_internal, k, matrix.weights is not None, values
-        )
-    for size in range(n + 1):
-        if (matrix.n_internal + size) % 2:
-            continue
-        for subset in combinations(g.boundary, size):
-            values[frozenset(subset)] = matrix.measurement(subset)
+        sizes = [k] if 0 <= k <= n else []
+    else:
+        k = None
+        sizes = [size for size in range(n + 1) if (matrix.n_internal + size) % 2 == 0]
+    subsets = [frozenset(s) for size in sizes for s in combinations(g.boundary, size)]
+    values = dict(zip(subsets, matrix.boundary_values(subsets)))
     return MeasurementTable(
-        mode, g.boundary, matrix.n_internal, None, matrix.weights is not None, values
+        mode, g.boundary, matrix.n_internal, k, matrix.weights is not None, values
     )
 
 
@@ -333,25 +356,14 @@ def grassmann_point(g: GraphWithBoundary, K: KasteleynMatrix) -> GrassmannPoint:
     and the zero matrix is returned.  Every coordinate is a matching count
     (weighted: a sum of positive weights), hence nonnegative.
     """
-    n_internal, k, n = K.n_internal, K.k, len(K.boundary)
-    try:
-        L = linalg.reduce_left_block(K.matrix, n_internal)
-    except linalg.SingularLeftBlock:
-        L = linalg.RatMatrix(
-            tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(k)),
-            tuple(K.matrix.row_labels[n_internal:]),
-            tuple(K.boundary),
-        )
-    plucker = tuple(
-        (tuple(K.boundary[j] for j in subset), K.measurement(K.boundary[j] for j in subset))
-        for subset in colex_subsets(n, k)
-    )
+    labels = [tuple(K.boundary[j] for j in s) for s in colex_subsets(len(K.boundary), K.k)]
+    plucker = tuple(zip(labels, K.boundary_values(labels)))
     for _, value in plucker:
         if value < 0:
             raise ValueError(
                 "negative boundary measurement; the target drawing is not an embedding"
             )
-    return GrassmannPoint(L, tuple(K.boundary), k, plucker)
+    return GrassmannPoint(K.boundary_matrix, tuple(K.boundary), K.k, plucker)
 
 
 @dataclass(frozen=True)
@@ -383,7 +395,6 @@ def pfaffian_point(g: GraphWithBoundary, X: SkewKasteleynMatrix) -> PfaffianPoin
     zero matrix is returned with base_zero set.  Otherwise BaseCaseZero is
     raised because no such Y can exist.
     """
-    n_internal = X.n_internal
     n = len(X.boundary)
     base = X.measurement(())
     if base == 0:
@@ -393,9 +404,7 @@ def pfaffian_point(g: GraphWithBoundary, X: SkewKasteleynMatrix) -> PfaffianPoin
                     raise BaseCaseZero(
                         f"no boundary-avoiding matchings but trace {subset} is matchable"
                     )
-        zero = linalg.skew(
-            [[Fraction(0)] * n for _ in range(n)], tuple(X.boundary)
-        )
+        zero = linalg.skew([[0] * n] * n, X.boundary)
         return PfaffianPoint(zero, X.boundary, base, base_zero=True)
-    y = linalg.skew_congruence_reduce(X.matrix, n_internal)
+    y = linalg.skew_congruence_reduce(X.matrix, X.n_internal)
     return PfaffianPoint(y, X.boundary, base)

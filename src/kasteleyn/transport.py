@@ -252,6 +252,8 @@ def compute_signed_structure(
     insert one random interior waypoint to step around the codimension-two
     bad set.  Deterministic in (inputs, seed).
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be nonnegative, not {max_retries}")
     last: DegeneratePath | None = None
     for attempt in range(max_retries + 1):
         attempt_seed = derive_seed(seed, attempt)

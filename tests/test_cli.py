@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,3 +198,28 @@ class TestCheck:
         assert code == 0
         reports = json.loads(out)
         assert all(r["holds"] for r in reports)
+
+
+class TestInputErrors:
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "binary.kg"
+        path.write_bytes(b"\xff\xfe")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kasteleyn.cli", "count", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"parse error: line 0, column 0: cannot read {path}: ")
+
+    def test_negative_max_retries_is_a_validation_error(self, capsys):
+        code, out, err = run(capsys, "count", fixture("grid2x3"), "--max-retries", "-1")
+        assert code == 3
+        assert out == ""
+        assert err == "validation error: max_retries must be nonnegative, not -1\n"

@@ -225,3 +225,10 @@ class TestSerialization:
         assert payload["signs"] == {"a,b": -1}
         assert payload["events"][0]["vertex"] == "v"
         assert payload["events"][0]["t"] == {"a": "1/2", "b": "0", "d": "0"}
+
+
+class TestRetryBudget:
+    def test_negative_retries_rejected_before_any_attempt(self):
+        g, c = K.generate_grid(2, 3)
+        with pytest.raises(ValueError, match="max_retries must be nonnegative, not -1"):
+            K.compute_signed_structure(g, BIPARTITE_CLOSED, c, max_retries=-1)
