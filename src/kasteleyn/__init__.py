@@ -15,7 +15,6 @@ from .geometry import (
     orient,
     roots_in_open_unit_interval,
     segment_relation,
-    sign_at,
 )
 from .graphs import (
     GraphWithBoundary,
@@ -67,7 +66,6 @@ from .linalg import (
     reduce_left_block,
     skew,
     skew_congruence_reduce,
-    standard_skew_blocks,
 )
 from .oracle import (
     EnumerationCapExceeded,
@@ -83,7 +81,6 @@ from .measurements import (
     PfaffianPoint,
     SkewKasteleynMatrix,
     grassmann_point,
-    grassmann_point_from_matrix,
     kasteleyn_matrix,
     measurement_table,
     pfaffian_point,

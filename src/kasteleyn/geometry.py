@@ -1,10 +1,11 @@
 """Exact plane geometry over the rationals and single quadratic extensions.
 
 Coordinates are pairs of `fractions.Fraction` and every predicate returns
-an exact sign.  Quantities attached to a quadratic event time (roots of a
-collinearity polynomial of a moving vertex/edge pair) are carried as
-a + b*sqrt(d) and compared without rounding.  There is no float fallback
-anywhere: degeneracies must surface as typed outcomes, not tolerances.
+an exact sign.  An event time (a root of the collinearity polynomial of a
+moving vertex/edge pair) is a value a + b*sqrt(d) with an exact sign, and
+rational quadratics are evaluated at it in closed form, without rounding.
+There is no float fallback anywhere: degeneracies must surface as typed
+outcomes, not tolerances.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
@@ -123,11 +123,11 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class QuadNum:
-    """An element a + b*sqrt(d) of a real quadratic field, d >= 0 rational.
+    """The real number a + b*sqrt(d), d >= 0 rational, with an exact sign.
 
     Canonical form: b = 0 and d = 0 whenever the value is rational (in
-    particular when d is a perfect square).  Arithmetic is closed within a
-    single field; mixing two distinct irrational fields raises.
+    particular when d is a perfect square).  It is a value, not a number
+    type: polynomials are evaluated at it by `QuadPoly.at`.
     """
 
     a: Fraction
@@ -171,69 +171,6 @@ class QuadNum:
             return 0
         return sa if diff > 0 else sb
 
-    def _coerced(self, other) -> "QuadNum":
-        if isinstance(other, QuadNum):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(Fraction(other))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "QuadNum":
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.b == 0:
-            return QuadNum(self.a + o.a, o.b, o.d)
-        if o.b == 0:
-            return QuadNum(self.a + o.a, self.b, self.d)
-        if self.d != o.d:
-            raise ValueError("mixed quadratic fields")
-        return QuadNum(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b, self.d)
-
-    def __sub__(self, other) -> "QuadNum":
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "QuadNum":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QuadNum":
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.b == 0:
-            return QuadNum(self.a * o.a, self.a * o.b, o.d)
-        if o.b == 0:
-            return QuadNum(self.a * o.a, self.b * o.a, self.d)
-        if self.d != o.d:
-            raise ValueError("mixed quadratic fields")
-        return QuadNum(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other) -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - other).sign() >= 0
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -261,7 +198,16 @@ class QuadPoly:
         return (self.c2 * t + self.c1) * t + self.c0
 
     def at(self, t: QuadNum) -> QuadNum:
-        return (t * self.c2 + self.c1) * t + self.c0
+        """The value at t = a + b*sqrt(d), in closed form:
+
+        c2*(a**2 + b**2*d) + c1*a + c0 + b*(2*c2*a + c1)*sqrt(d).
+        """
+        a, b, d = t.a, t.b, t.d
+        return QuadNum(
+            self.c2 * (a * a + b * b * d) + self.c1 * a + self.c0,
+            b * (2 * self.c2 * a + self.c1),
+            d,
+        )
 
 
 def roots_in_open_unit_interval(p: QuadPoly) -> list[tuple[QuadNum, int]]:
@@ -282,20 +228,11 @@ def roots_in_open_unit_interval(p: QuadPoly) -> list[tuple[QuadNum, int]]:
             found.append((QuadNum(Fraction(-p.c1, 2 * p.c2)), 2))
         elif disc > 0:
             centre = Fraction(-p.c1, 2 * p.c2)
-            spread = Fraction(1, 2 * p.c2)
-            r1 = QuadNum(centre, -spread, disc)
-            r2 = QuadNum(centre, spread, disc)
-            lo, hi = (r1, r2) if (r2 - r1).sign() > 0 else (r2, r1)
-            found.extend([(lo, 1), (hi, 1)])
-    return [(r, m) for (r, m) in found if r.sign() > 0 and (r - 1).sign() < 0]
-
-
-def sign_at(coeffs: Sequence[Fraction], t0: QuadNum) -> int:
-    """Exact sign of a rational polynomial (descending coefficients) at t0."""
-    acc = QuadNum(Fraction(0))
-    for c in coeffs:
-        acc = acc * t0 + _frac(c)
-    return acc.sign()
+            spread = Fraction(1, 2 * abs(p.c2))  # positive: the lower root comes first
+            found.extend([(QuadNum(centre, -spread, disc), 1), (QuadNum(centre, spread, disc), 1)])
+    return [
+        (r, m) for (r, m) in found if r.sign() > 0 and QuadNum(r.a - 1, r.b, r.d).sign() < 0
+    ]
 
 
 def _lin_mul(u0: Fraction, u1: Fraction, v0: Fraction, v1: Fraction):

@@ -59,7 +59,6 @@ def parse(text: str) -> tuple[GraphWithBoundary, Configuration]:
     edges: list[tuple[str, str]] = []
     seen_edges: set = set()
     weights: dict = {}
-    any_weight = False
     boundary: tuple[str, ...] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokens(raw)
@@ -103,7 +102,6 @@ def parse(text: str) -> tuple[GraphWithBoundary, Configuration]:
                 if value <= 0:
                     raise GraphFileError(line_no, c3, f"weight must be positive, got {w}")
                 weights[key] = value
-                any_weight = True
         elif keyword == "boundary":
             if boundary is not None:
                 raise GraphFileError(line_no, col0, "second boundary line")
@@ -121,9 +119,7 @@ def parse(text: str) -> tuple[GraphWithBoundary, Configuration]:
             raise GraphFileError(
                 line_no, col0, f"unknown directive {keyword!r}"
             )
-    g = make_graph(
-        vertices, colors, edges, boundary or (), weights if any_weight else None
-    )
+    g = make_graph(vertices, colors, edges, boundary or (), weights or None)
     return g, config
 
 

@@ -79,9 +79,10 @@ def make_graph(
 ) -> GraphWithBoundary:
     """Construct a graph; structural problems raise, hypothesis checks don't.
 
-    Edges referencing unknown vertices or nonpositive weights are rejected
-    here; everything the counting theorems need (coloring discipline,
-    boundary membership, no self-loops) is reported by `validate`.
+    Edges referencing unknown vertices and bad weights (see
+    `checked_weights`) are rejected here; everything the counting
+    theorems need (coloring discipline, boundary membership, no
+    self-loops) is reported by `validate`.
     """
     vs = tuple(vertices)
     if len(set(vs)) != len(vs):
@@ -99,18 +100,31 @@ def make_graph(
         if u not in vset or v not in vset:
             raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
         eset.add(edge_key(u, v))
-    wmap = None
-    if weights is not None:
-        wmap = {}
-        for e, w in weights.items():
-            k = edge_key(*e)
-            if k not in eset:
-                raise ValueError(f"weight given for non-edge {e!r}")
-            w = Fraction(w)
-            if w <= 0:
-                raise ValueError(f"weight for {e!r} must be positive")
-            wmap[k] = w
-    return GraphWithBoundary(vs, colors, frozenset(eset), tuple(boundary), wmap)
+    return GraphWithBoundary(
+        vs, colors, frozenset(eset), tuple(boundary), checked_weights(eset, weights)
+    )
+
+
+def checked_weights(edges, weights: Mapping | None) -> dict | None:
+    """The weights table keyed by canonical edge, as Fractions; None stays None.
+
+    Floats (refused like float coordinates, to protect exactness),
+    nonpositive values and keys that are not edges raise ValueError.
+    """
+    if weights is None:
+        return None
+    table = {}
+    for e, w in weights.items():
+        k = edge_key(*e)
+        if k not in edges:
+            raise ValueError(f"weight given for non-edge {e!r}")
+        if isinstance(w, float):
+            raise ValueError(f"float weight {w!r} for {e!r}; supply int, str or Fraction")
+        w = Fraction(w)
+        if w <= 0:
+            raise ValueError(f"weight for {e!r} must be positive")
+        table[k] = w
+    return table
 
 
 @dataclass(frozen=True)

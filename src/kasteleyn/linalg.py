@@ -275,17 +275,6 @@ def pfaffian_minor(x: SkewMatrix, keep: Iterable[int]) -> Fraction:
     return pfaffian(x.principal(idx))
 
 
-def standard_skew_blocks(n: int, labels=None) -> SkewMatrix:
-    """Block-diagonal skew form with 2x2 blocks [[0, 1], [-1, 0]]."""
-    if n % 2:
-        raise OddLeadingBlock("standard skew form needs even dimension")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        rows[i][i + 1] = Fraction(1)
-        rows[i + 1][i] = Fraction(-1)
-    return skew(rows, labels)
-
-
 def reduce_leading_block(x: SkewMatrix, n_leading: int) -> tuple[Fraction, SkewMatrix]:
     """Eliminate the leading block; r holds the rest rows, then the trailing ones.
 

@@ -21,7 +21,13 @@ from itertools import combinations
 from typing import Mapping
 
 from . import linalg
-from .graphs import GraphWithBoundary, bipartite_vertex_classes, edge_key, validate
+from .graphs import (
+    GraphWithBoundary,
+    bipartite_vertex_classes,
+    checked_weights,
+    edge_key,
+    validate,
+)
 from .immersion import (
     BIPARTITE_BOUNDARY,
     BIPARTITE_CLOSED,
@@ -173,6 +179,7 @@ def kasteleyn_matrix(
     report = validate(g, "bipartite")
     if not report.ok:
         raise ValueError("invalid bipartite graph: " + "; ".join(report.problems))
+    weights = checked_weights(g.edges, weights)
     _check_target(g, target, require_embedded)
     mode = BIPARTITE_BOUNDARY if g.boundary else BIPARTITE_CLOSED
     assignment = compute_signed_structure(g, mode, target, seed, max_retries)
@@ -206,6 +213,7 @@ def skew_kasteleyn_matrix(
     report = validate(g, "general")
     if not report.ok:
         raise ValueError("invalid general graph: " + "; ".join(report.problems))
+    weights = checked_weights(g.edges, weights)
     _check_target(g, target, require_embedded)
     mode = GENERAL_BOUNDARY if g.boundary else GENERAL_CLOSED
     assignment = compute_signed_structure(g, mode, target, seed, max_retries)
@@ -262,7 +270,6 @@ class MeasurementTable:
 def measurement_table(
     g: GraphWithBoundary,
     matrix,
-    mode: str | None = None,
     materialize_limit: int = MATERIALIZE_LIMIT,
 ) -> MeasurementTable:
     """Evaluate the minor (or Pfaffian minor) for every admissible subset.
@@ -272,11 +279,7 @@ def measurement_table(
     evaluation.  Tables above the materialization limit must be queried
     subset by subset via the matrix object instead.
     """
-    inferred = "bipartite" if isinstance(matrix, KasteleynMatrix) else "general"
-    if mode is None:
-        mode = inferred
-    if mode != inferred:
-        raise ValueError(f"matrix is {inferred!r}, not {mode!r}")
+    mode = "bipartite" if isinstance(matrix, KasteleynMatrix) else "general"
     if matrix.graph is not g and matrix.graph != g:
         raise ValueError("matrix was built from a different graph")
     n = len(g.boundary)
@@ -314,12 +317,15 @@ class GrassmannPoint:
     def n(self) -> int:
         return len(self.boundary)
 
+    @cached_property
+    def _by_subset(self) -> dict:
+        return {frozenset(labels): v for labels, v in self.plucker}
+
     def value(self, subset) -> Fraction:
         want = frozenset(subset)
-        for labels, v in self.plucker:
-            if frozenset(labels) == want:
-                return v
-        raise ValueError(f"{sorted(want)} is not a {self.k}-subset of the boundary")
+        if want not in self._by_subset:
+            raise ValueError(f"{sorted(want)} is not a {self.k}-subset of the boundary")
+        return self._by_subset[want]
 
     def is_zero(self) -> bool:
         return all(v == 0 for _, v in self.plucker)

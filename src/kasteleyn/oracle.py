@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .graphs import GraphWithBoundary, Matching, edge_key, matching_weight
+from .graphs import GraphWithBoundary, Matching, checked_weights, edge_key, matching_weight
 from .immersion import Configuration, matching_sign
 
 DEFAULT_VERTEX_CAP = 24
@@ -105,6 +105,7 @@ def oracle_measurement(
     max_vertices: int = DEFAULT_VERTEX_CAP,
 ) -> Fraction:
     """Count (or weight-sum) of matchings with the given boundary trace."""
+    weights = checked_weights(g.edges, weights)
     subset = frozenset(boundary_subset)
     total = Fraction(0)
     for m in enumerate_matchings(g, subset, max_vertices):
@@ -125,6 +126,7 @@ def signed_sum(
     oracle_measurement; at a crossing drawing it is the quantity the
     transported determinant or Pfaffian must reproduce.
     """
+    weights = checked_weights(g.edges, weights)
     subset = frozenset(boundary_subset)
     total = Fraction(0)
     for m in enumerate_matchings(g, subset, max_vertices):

@@ -4,11 +4,12 @@ Starting from a canonical drawing where every matrix entry may be +1, the
 configuration is deformed to the target.  Whenever a vertex passes
 transversally through the interior of a non-incident edge, the crossing
 parity of exactly the matchings containing that edge flips, so the sign of
-that edge's entry is switched.  Events are located exactly as roots of
-quadratics and validated with sign tests in the root's quadratic field;
-anything ambiguous (tangency, a hit at a segment junction, a vertex
-meeting an edge endpoint) raises DegeneratePath and the caller retries
-with a perturbed path.
+that edge's entry is switched.  Events are located exactly as roots
+a + b*sqrt(d) of quadratics and validated by the exact signs of other
+quadratics evaluated at the root in closed form; anything ambiguous
+(tangency, a hit at a segment junction, a vertex meeting an edge
+endpoint) raises DegeneratePath and the caller retries with a perturbed
+path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .immersion import (
     Configuration,
     PathPlan,
     canonical_start,
-    is_immersion,
     MODES,
     BIPARTITE_BOUNDARY,
     GENERAL_BOUNDARY,
@@ -172,25 +172,35 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
     root in (0, 1) at which v lies strictly between the endpoints of e
     flips e's sign.  Tangential contacts, hits at segment junctions,
     vertex-meets-endpoint coincidences and identically-collinear motions
-    raise DegeneratePath.
+    raise DegeneratePath.  Every waypoint is checked once for a vertex on a
+    non-incident edge: at the first or last waypoint that is a ValueError
+    (the path endpoints must be immersions), at an interior one a
+    DegeneratePath.
     """
-    if not is_immersion(g, path.waypoints[0]) or not is_immersion(g, path.waypoints[-1]):
-        raise ValueError("path endpoints must be immersions")
     signs = {e: 1 for e in g.sorted_edges}
     events: list[EventRecord] = []
-    for si in range(path.segments):
-        w0, w1 = path.waypoints[si], path.waypoints[si + 1]
+    # A path without motion is one still segment, so its drawing is checked too.
+    waypoints = path.waypoints if path.segments else path.waypoints * 2
+    last = len(waypoints) - 1
+    for si in range(last):
+        w0, w1 = waypoints[si], waypoints[si + 1]
         moving = {v for v in g.vertices if w0[v] != w1[v]}
+        checked = (si, si + 1) if si == 0 else (si + 1,)
         for e in g.sorted_edges:
             a, b = e
             for v in g.vertices:
                 if v == a or v == b:
                     continue
-                if v not in moving and a not in moving and b not in moving:
-                    if point_on_segment(w0[v], w0[a], w0[b]) is not None:
+                for wi in checked:
+                    w = waypoints[wi]
+                    where = point_on_segment(w[v], w[a], w[b])
+                    if where is not None:
+                        if wi == 0 or wi == last:
+                            raise ValueError("path endpoints must be immersions")
                         raise DegeneratePath(
-                            f"static vertex {v!r} rests on edge {e} (segment {si})"
+                            f"vertex {v!r} meets edge {e} exactly at waypoint {wi} ({where})"
                         )
+                if v not in moving and a not in moving and b not in moving:
                     continue
                 args = (w0[v], w1[v], w0[a], w1[a], w0[b], w1[b])
                 f = motion_collinearity_poly(*args)
@@ -198,13 +208,6 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
                     raise DegeneratePath(
                         f"vertex {v!r} stays collinear with edge {e} on segment {si}"
                     )
-                for w in (w0, w1):
-                    where = point_on_segment(w[v], w[a], w[b])
-                    if where is not None:
-                        raise DegeneratePath(
-                            f"vertex {v!r} meets edge {e} exactly at a "
-                            f"waypoint of segment {si} ({where})"
-                        )
                 roots = roots_in_open_unit_interval(f)
                 if not roots:
                     continue

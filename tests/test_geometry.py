@@ -14,7 +14,6 @@ from kasteleyn.geometry import (
     point_on_segment,
     roots_in_open_unit_interval,
     segment_relation,
-    sign_at,
     unit_circle_param,
     unit_circle_point,
 )
@@ -108,19 +107,6 @@ class TestQuadNum:
         assert QuadNum(F(2), F(-1), F(2)).sign() == 1
         assert QuadNum(F(1), F(-1), F(2)).sign() == -1
 
-    def test_sign_zero(self):
-        # sqrt(2)*sqrt(2) - 2 = 0 via multiplication.
-        r = QuadNum(F(0), F(1), F(2))
-        assert (r * r - 2).sign() == 0
-
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(ValueError):
-            QuadNum(F(0), F(1), F(2)) + QuadNum(F(0), F(1), F(3))
-
-    def test_comparisons(self):
-        root2 = QuadNum(F(0), F(1), F(2))
-        assert QuadNum(F(1)) < root2 < QuadNum(F(3, 2))
-
 
 class TestRoots:
     def test_two_rational_roots(self):
@@ -140,8 +126,17 @@ class TestRoots:
         assert len(roots) == 2
         for r, m in roots:
             assert m == 1
-            assert sign_at([F(1), F(-1), F(1, 8)], r) == 0
-        assert (roots[0][0] - roots[1][0]).sign() < 0
+            assert QuadPoly(F(1), F(-1), F(1, 8)).at(r).sign() == 0
+        # Ascending: the roots lie either side of the centre 1/2.
+        (lo, _), (hi, _) = roots
+        assert QuadNum(lo.a - F(1, 2), lo.b, lo.d).sign() < 0
+        assert QuadNum(hi.a - F(1, 2), hi.b, hi.d).sign() > 0
+
+    def test_ascending_for_either_sign_of_leading_coefficient(self):
+        up = roots_in_open_unit_interval(QuadPoly(F(1), F(-1), F(1, 8)))
+        down = roots_in_open_unit_interval(QuadPoly(F(-1), F(1), F(-1, 8)))
+        assert up == down
+        assert up[0][0].b < 0 < up[1][0].b
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
@@ -163,25 +158,58 @@ class TestRoots:
             roots = roots_in_open_unit_interval(p)
             # Every root is a genuine zero inside (0, 1).
             for r, _ in roots:
-                assert sign_at([p.c2, p.c1, p.c0], r) == 0
-                assert r.sign() > 0 and (r - 1).sign() < 0
+                assert p.at(r).sign() == 0
+                assert r.sign() > 0 and QuadNum(r.a - 1, r.b, r.d).sign() < 0
             # Every sign change on the grid brackets a returned root.
-            for a, b in zip(grid, grid[1:]):
-                if p(a) * p(b) < 0:
-                    assert any((r - a).sign() > 0 and (r - b).sign() < 0 for r, _ in roots)
+            for lo, hi in zip(grid, grid[1:]):
+                if p(lo) * p(hi) < 0:
+                    assert any(
+                        QuadNum(r.a - lo, r.b, r.d).sign() > 0
+                        and QuadNum(r.a - hi, r.b, r.d).sign() < 0
+                        for r, _ in roots
+                    )
 
 
 class TestSignAt:
     def test_identity_poly(self):
-        assert sign_at([F(1), F(0)], QuadNum(F(1, 2))) == 1
+        assert QuadPoly(F(0), F(1), F(0)).at(QuadNum(F(1, 2))).sign() == 1
 
     def test_root_of_its_polynomial(self):
-        assert sign_at([F(1), F(0), F(-2)], QuadNum(F(0), F(1), F(2))) == 0
+        assert QuadPoly(F(1), F(0), F(-2)).at(QuadNum(F(0), F(1), F(2))).sign() == 0
 
     def test_shifted_linear(self):
         # 2t - 1 at (1 + sqrt(2))/4 has the sign of (sqrt(2) - 1)/2.
         t0 = QuadNum(F(1, 4), F(1, 4), F(2))
-        assert sign_at([F(2), F(-1)], t0) == 1
+        assert QuadPoly(F(0), F(2), F(-1)).at(t0).sign() == 1
+
+
+def horner(coeffs, t: QuadNum) -> QuadNum:
+    """Reference evaluation: Horner's rule in Q(sqrt d), x + y*sqrt(d) as (x, y)."""
+    x, y = F(0), F(0)
+    for c in coeffs:
+        x, y = x * t.a + y * t.b * t.d + c, x * t.b + y * t.a
+    return QuadNum(x, y, t.d)
+
+
+class TestAtClosedForm:
+    def test_matches_horner_at_roots_of_other_quadratics(self):
+        rng = Random(29)
+
+        def coeff():
+            return F(rng.randrange(-9, 10), rng.randrange(1, 5))
+
+        kinds = {True: 0, False: 0}  # is the root rational (square discriminant)?
+        while min(kinds.values()) < 50:
+            c2, c1, c0 = coeff(), coeff(), coeff()
+            disc = c1 * c1 - 4 * c2 * c0
+            if c2 == 0 or disc < 0:
+                continue
+            for s in (1, -1):
+                t = QuadNum(-c1 / (2 * c2), s / (2 * c2), disc)
+                kinds[t.is_rational] += 1
+                assert QuadPoly(c2, c1, c0).at(t).sign() == 0
+                p = QuadPoly(coeff(), coeff(), coeff())
+                assert p.at(t) == horner([p.c2, p.c1, p.c0], t)
 
 
 class TestMotionPolys:

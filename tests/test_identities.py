@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import kasteleyn as K
-from kasteleyn.measurements import MeasurementTable
+from kasteleyn.measurements import MeasurementTable, grassmann_point_from_matrix
 
 F = Fraction
 
@@ -104,7 +104,7 @@ class TestKuoGeneral:
 class TestPluckerThreeTerm:
     def test_explicit_matrix(self):
         L = K.matrix([[1, 0, -1, -1], [0, 1, 1, 1]], col_labels=("a", "b", "c", "d"))
-        p = K.grassmann_point_from_matrix(L)
+        p = grassmann_point_from_matrix(L)
         report = K.check_plucker_three_term(p, ("a", "b", "c", "d"))
         assert report.holds
 
@@ -117,7 +117,7 @@ class TestPluckerThreeTerm:
 
     def test_zero_vector(self):
         L = K.matrix([[0, 0, 0, 0], [0, 0, 0, 0]], col_labels=("a", "b", "c", "d"))
-        p = K.grassmann_point_from_matrix(L)
+        p = grassmann_point_from_matrix(L)
         assert K.check_plucker_three_term(p, ("a", "b", "c", "d")).holds
 
     def test_every_quadruple_on_wider_fixture(self):
@@ -134,7 +134,7 @@ class TestPluckerThreeTerm:
     def test_negative_control(self):
         # A vector that is not a Plucker vector must fail the relation.
         L = K.matrix([[1, 0, -1, -1], [0, 1, 1, 1]], col_labels=("a", "b", "c", "d"))
-        p = K.grassmann_point_from_matrix(L)
+        p = grassmann_point_from_matrix(L)
         tampered = tuple(
             (labels, v + 1 if set(labels) == {"a", "c"} else v)
             for labels, v in p.plucker
@@ -144,7 +144,7 @@ class TestPluckerThreeTerm:
 
     def test_wrong_k_rejected(self):
         L = K.matrix([[1, 0, 0, 0]], col_labels=("a", "b", "c", "d"))
-        p = K.grassmann_point_from_matrix(L)
+        p = grassmann_point_from_matrix(L)
         with pytest.raises(ValueError):
             K.check_plucker_three_term(p, ("a", "b", "c", "d"))
 

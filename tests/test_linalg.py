@@ -228,8 +228,3 @@ class TestSkewCongruenceReduce:
         x = K.skew([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
         with pytest.raises(K.SingularLeadingBlock):
             K.skew_congruence_reduce(x, 2)
-
-    def test_standard_blocks(self):
-        j4 = K.standard_skew_blocks(4)
-        assert K.pfaffian(j4) == 1
-        assert j4[0, 1] == 1 and j4[2, 3] == 1 and j4[0, 2] == 0

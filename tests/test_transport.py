@@ -117,6 +117,20 @@ class TestTransportSigns:
         with pytest.raises(ValueError):
             K.transport_signs(g, PathPlan((on_edge, off), frozenset()))
 
+    def test_contact_at_each_end_or_inside_the_path(self):
+        # The last waypoint and a one-waypoint path are endpoints too; a
+        # contact at an interior waypoint is a degenerate path instead.
+        g = K.make_graph(["a", "b", "v"], {}, [("a", "b")])
+        on_edge = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(0))}
+        above = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(1))}
+        below = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(-1))}
+        for waypoints in ((above, on_edge), (on_edge,)):
+            with pytest.raises(ValueError, match="path endpoints must be immersions"):
+                K.transport_signs(g, PathPlan(waypoints, frozenset()))
+        with pytest.raises(DegeneratePath, match="at waypoint 1"):
+            K.transport_signs(g, PathPlan((above, on_edge, below), frozenset()))
+        assert K.transport_signs(g, PathPlan((above,), frozenset())).signs == {("a", "b"): 1}
+
 
 class TestBuildPath:
     def test_single_segment_by_default(self):
