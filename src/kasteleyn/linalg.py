@@ -1,11 +1,11 @@
 """Exact rational linear algebra: determinants, minors, Pfaffians, reductions.
 
-Determinants use fraction-free Bareiss elimination (intermediate values
-stay integral for integral input).  Pfaffians and the skew block reduction
-share one skew elimination by unit congruences, which pairs each row with
-the first later free column holding a nonzero entry.  The block reductions
-preserve the exact minor/Pfaffian-minor contracts they are named for and
-verify a sample of them before returning.
+Determinants and the left-block reduction share one forward elimination
+that repairs a zero pivot by adding a later row.  Pfaffians and the skew
+block reduction share one skew elimination by unit congruences, pairing
+each row with the first later free column holding a nonzero entry.  Both
+block reductions preserve the exact minor/Pfaffian-minor contracts they
+are named for and verify a sample of them before returning.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ class RatMatrix:
     col_labels: tuple
 
     def __post_init__(self):
+        floats = [x for row in self.entries for x in row if isinstance(x, float)]
+        if floats:  # refused like float coordinates, to protect exactness
+            raise TypeError(f"float entry {floats[0]!r}; supply int, str or Fraction")
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if len(rows) != len(self.row_labels):
@@ -119,30 +122,14 @@ def skew(entries: Iterable[Iterable], labels=None) -> SkewMatrix:
 
 
 def det(m: RatMatrix) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant: the product of the forward elimination's pivots."""
     n_rows, n_cols = m.shape
     if n_rows != n_cols:
         raise ValueError(f"determinant of a {n_rows}x{n_cols} matrix")
-    n = n_rows
-    if n == 0:
-        return Fraction(1)
-    work = [list(row) for row in m.entries]
-    sign = 1
-    prev = Fraction(1)
-    for c in range(n - 1):
-        pivot_row = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign = -sign
-        pivot = work[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                work[i][j] = (work[i][j] * pivot - work[i][c] * work[c][j]) / prev
-            work[i][c] = Fraction(0)
-        prev = pivot
-    return sign * work[n - 1][n - 1]
+    try:
+        return _forward_eliminate([list(row) for row in m.entries], n_rows)
+    except SingularLeftBlock:
+        return Fraction(0)
 
 
 def minor(m: RatMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -155,6 +142,32 @@ def minor(m: RatMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
     if any(r < 0 or r >= n_rows for r in rows) or any(c < 0 or c >= n_cols for c in cols):
         raise ValueError("minor index out of range")
     return det(m.submatrix(rows, cols))
+
+
+def _forward_eliminate(work: list, n_left: int) -> Fraction:
+    """Zero the first n_left columns below the diagonal; return the pivot product.
+
+    A zero pivot gets the first later row nonzero there added (no swaps: det
+    and row labels stay put).  Only rows below the pivot change, only in the
+    pivot row's nonzero columns.  A column without a pivot: SingularLeftBlock.
+    """
+    pivot_product = Fraction(1)
+    for c in range(n_left):
+        pivot_row = next((r for r in range(c, len(work)) if work[r][c] != 0), None)
+        if pivot_row is None:
+            raise SingularLeftBlock(f"columns 0..{n_left - 1} are dependent (column {c})")
+        if pivot_row != c:
+            work[c] = [a + b for a, b in zip(work[c], work[pivot_row])]
+        row_c = work[c]
+        pivot = row_c[c]
+        pivot_product *= pivot
+        support = [j for j in range(c, len(row_c)) if row_c[j] != 0]
+        for row_i in work[c + 1:]:
+            if row_i[c] != 0:
+                factor = row_i[c] / pivot
+                for j in support:
+                    row_i[j] -= factor * row_c[j]
+    return pivot_product
 
 
 def reduce_left_block(k_matrix: RatMatrix, n_left: int) -> RatMatrix:
@@ -170,31 +183,13 @@ def reduce_left_block(k_matrix: RatMatrix, n_left: int) -> RatMatrix:
     n_rows, n_cols = k_matrix.shape
     if not 0 <= n_left <= min(n_rows, n_cols):
         raise ValueError("left block size out of range")
-    k_extra = n_rows - n_left
     work = [list(row) for row in k_matrix.entries]
-    for c in range(n_left):
-        pivot_row = next((r for r in range(c, n_rows) if work[r][c] != 0), None)
-        if pivot_row is None:
-            raise SingularLeftBlock(f"columns 0..{n_left - 1} are dependent (column {c})")
-        if pivot_row != c:
-            for j in range(n_cols):
-                work[c][j] += work[pivot_row][j]
-        pivot = work[c][c]
-        for i in range(n_rows):
-            if i == c or work[i][c] == 0:
-                continue
-            factor = work[i][c] / pivot
-            for j in range(n_cols):
-                work[i][j] -= factor * work[c][j]
-    if k_extra == 0:
+    pivot_product = _forward_eliminate(work, n_left)
+    if n_rows == n_left:
         return RatMatrix((), (), tuple(k_matrix.col_labels[n_left:]))
-    pivot_product = Fraction(1)
-    for c in range(n_left):
-        pivot_product *= work[c][c]
-    for j in range(n_cols):
-        work[n_left][j] *= pivot_product
+    work[n_left] = [x * pivot_product for x in work[n_left]]
     bottom = RatMatrix(
-        tuple(tuple(work[i][j] for j in range(n_left, n_cols)) for i in range(n_left, n_rows)),
+        tuple(tuple(row[n_left:]) for row in work[n_left:]),
         tuple(k_matrix.row_labels[n_left:]),
         tuple(k_matrix.col_labels[n_left:]),
     )

@@ -58,16 +58,28 @@ def _check_target(g: GraphWithBoundary, target: Configuration, require_embedded:
         raise ValueError("target is not an immersion")
 
 
-class _BoundaryColumns:
+class _BoundaryOrder:
+    """Positions of the boundary labels, keyed once per object."""
+
+    @cached_property
+    def _order(self) -> dict:
+        return {b: i for i, b in enumerate(self.boundary)}
+
+    def _positions(self, subset) -> list[int]:
+        try:
+            return sorted(self._order[b] for b in frozenset(subset))
+        except KeyError:
+            raise ValueError("subset contains non-boundary vertices") from None
+
+
+class _BoundaryColumns(_BoundaryOrder):
     """Boundary labels and positions shared by both matrix kinds."""
 
     @property
     def boundary(self) -> tuple:
         return self.graph.boundary
 
-    def boundary_positions(self, subset) -> list[int]:
-        order = {b: i for i, b in enumerate(self.boundary)}
-        return sorted(order[b] for b in subset)
+    boundary_positions = _BoundaryOrder._positions
 
 
 @dataclass(frozen=True)
@@ -85,12 +97,10 @@ class KasteleynMatrix(_BoundaryColumns):
 
     def measurement(self, subset) -> Fraction:
         """det of the minor on all rows, internal columns plus the subset."""
-        subset = frozenset(subset)
-        if len(subset) != self.k:
+        positions = self.boundary_positions(subset)
+        if len(positions) != self.k:
             return Fraction(0)
-        cols = list(range(self.n_internal)) + [
-            self.n_internal + p for p in self.boundary_positions(subset)
-        ]
+        cols = list(range(self.n_internal)) + [self.n_internal + p for p in positions]
         return linalg.minor(self.matrix, list(range(self.matrix.shape[0])), cols)
 
     @cached_property
@@ -107,10 +117,8 @@ class KasteleynMatrix(_BoundaryColumns):
         if self.k == 0:  # boundary_matrix has no rows: det of the internal block is lost
             return [self.measurement(s) for s in subsets]
         L, rows = self.boundary_matrix, range(self.k)
-        return [
-            linalg.minor(L, rows, self.boundary_positions(s)) if len(s) == self.k else Fraction(0)
-            for s in subsets
-        ]
+        positions = map(self.boundary_positions, subsets)
+        return [linalg.minor(L, rows, p) if len(p) == self.k else Fraction(0) for p in positions]
 
     def to_jsonable(self) -> dict:
         return {
@@ -134,15 +142,19 @@ class SkewKasteleynMatrix(_BoundaryColumns):
 
     def measurement(self, subset) -> Fraction:
         """Pfaffian of the principal minor on internals plus the subset."""
-        subset = frozenset(subset)
         keep = list(range(self.n_internal)) + [
             self.n_internal + p for p in self.boundary_positions(subset)
         ]
         return linalg.pfaffian_minor(self.matrix, keep)
 
+    @cached_property
+    def _reduction(self) -> tuple[Fraction, linalg.SkewMatrix]:
+        """(scale, r) with Pf(matrix on internals + I) = scale * Pf(r on rest + I)."""
+        return linalg.reduce_leading_block(self.matrix, self.n_internal)
+
     def boundary_values(self, subsets) -> list[Fraction]:
         """measurement() of each subset, as scale * Pf(r on rest + I)."""
-        scale, r = linalg.reduce_leading_block(self.matrix, self.n_internal)
+        scale, r = self._reduction
         n_rest = r.dimension - len(self.boundary)
         rest = list(range(n_rest))
         return [
@@ -234,7 +246,7 @@ def skew_kasteleyn_matrix(
 
 
 @dataclass(frozen=True)
-class MeasurementTable:
+class MeasurementTable(_BoundaryOrder):
     mode: str
     boundary: tuple
     n_internal: int
@@ -243,16 +255,11 @@ class MeasurementTable:
     values: Mapping  # frozenset of boundary ids -> Fraction
 
     def value(self, subset) -> Fraction:
-        subset = frozenset(subset)
-        if not subset <= frozenset(self.boundary):
-            raise ValueError("subset contains non-boundary vertices")
-        if subset in self.values:
-            return self.values[subset]
-        return Fraction(0)
+        self._positions(subset)  # ValueError for a non-boundary label
+        return self.values.get(frozenset(subset), Fraction(0))
 
     def subset_key(self, subset) -> str:
-        order = {b: i for i, b in enumerate(self.boundary)}
-        return ",".join(sorted(subset, key=order.__getitem__))
+        return ",".join(sorted(subset, key=self._order.__getitem__))
 
     def to_jsonable(self) -> dict:
         items = sorted(
@@ -373,16 +380,14 @@ def grassmann_point(g: GraphWithBoundary, K: KasteleynMatrix) -> GrassmannPoint:
 
 
 @dataclass(frozen=True)
-class PfaffianPoint:
+class PfaffianPoint(_BoundaryOrder):
     matrix: linalg.SkewMatrix  # n x n on the boundary labels
     boundary: tuple
     base: Fraction  # measurement of the empty boundary trace
     base_zero: bool = False
 
     def value(self, subset) -> Fraction:
-        order = {b: i for i, b in enumerate(self.boundary)}
-        keep = sorted(order[b] for b in frozenset(subset))
-        return linalg.pfaffian_minor(self.matrix, keep)
+        return linalg.pfaffian_minor(self.matrix, self._positions(subset))
 
     def to_jsonable(self) -> dict:
         return {
@@ -396,21 +401,20 @@ class PfaffianPoint:
 def pfaffian_point(g: GraphWithBoundary, X: SkewKasteleynMatrix) -> PfaffianPoint:
     """Boundary skew matrix Y with Pf(Y_I) * D(empty) = D(I) for all I.
 
-    Requires a strictly positive count of boundary-avoiding matchings.  If
-    that count is zero, the graph must have no matchings at all; then the
-    zero matrix is returned with base_zero set.  Otherwise BaseCaseZero is
-    raised because no such Y can exist.
+    Read from X's one reduction of its internal block: when that block is
+    nonsingular, D(empty) is the reduction's scale and Y its trailing block.
+    Otherwise D(empty) = 0, and the zero matrix is returned with base_zero
+    set if no trace is matchable; else no such Y exists (BaseCaseZero).
     """
     n = len(X.boundary)
-    base = X.measurement(())
-    if base == 0:
-        for size in range(n + 1):
-            for subset in combinations(X.boundary, size):
-                if X.measurement(subset) != 0:
-                    raise BaseCaseZero(
-                        f"no boundary-avoiding matchings but trace {subset} is matchable"
-                    )
-        zero = linalg.skew([[0] * n] * n, X.boundary)
-        return PfaffianPoint(zero, X.boundary, base, base_zero=True)
-    y = linalg.skew_congruence_reduce(X.matrix, X.n_internal)
-    return PfaffianPoint(y, X.boundary, base)
+    scale, y = X._reduction
+    if y.dimension == n:  # no rest rows: the internal block is nonsingular
+        return PfaffianPoint(y, X.boundary, scale)
+    for size in range(n + 1):
+        for subset in combinations(X.boundary, size):
+            if X.boundary_values([subset])[0] != 0:
+                raise BaseCaseZero(
+                    f"no boundary-avoiding matchings but trace {subset} is matchable"
+                )
+    zero = linalg.skew([[0] * n] * n, X.boundary)
+    return PfaffianPoint(zero, X.boundary, Fraction(0), base_zero=True)

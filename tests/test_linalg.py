@@ -47,6 +47,23 @@ class TestDet:
         assert K.det(m) == F(1, 14) - F(1, 15)
 
 
+class TestFloatEntries:
+    def test_matrix_refuses_floats(self):
+        with pytest.raises(TypeError, match="float entry 0.1"):
+            K.matrix([[F(1), 0.1]])
+        with pytest.raises(TypeError):
+            K.RatMatrix(((0.5,),), (0,), (0,))
+
+    def test_skew_refuses_floats(self):
+        with pytest.raises(TypeError):
+            K.skew([[0, 0.5], [-0.5, 0]])
+
+    def test_det_never_sees_a_float(self):
+        with pytest.raises(TypeError):
+            K.det(K.matrix([[0.1]]))
+        assert K.det(K.matrix([["1/10"]])) == F(1, 10)
+
+
 class TestMinor:
     def test_full_selection_is_det(self):
         m = K.matrix([[1, 2], [3, 4]])

@@ -150,6 +150,47 @@ class TestMeasurementTable:
             K.measurement_table(g, m, materialize_limit=2)
 
 
+class TestNonBoundarySubsets:
+    """A label outside the boundary is one ValueError on every entry point."""
+
+    message = "subset contains non-boundary vertices"
+
+    def test_bipartite_matrix(self, fan):
+        g, c = fan
+        m = K.kasteleyn_matrix(g, c)
+        assert m.k == 2
+        for subset in ({"zz"}, {"a", "zz"}, {"a", "b", "zz"}):
+            with pytest.raises(ValueError, match=self.message):
+                m.measurement(subset)
+            with pytest.raises(ValueError, match=self.message):
+                m.boundary_values([subset])
+            with pytest.raises(ValueError, match=self.message):
+                m.boundary_positions(subset)
+            with pytest.raises(ValueError, match=self.message):
+                K.measurement_table(g, m).value(subset)
+
+    def test_general_matrix_and_point(self, boundary_cycle):
+        g, c = boundary_cycle
+        x = K.skew_kasteleyn_matrix(g, c)
+        y = K.pfaffian_point(g, x)
+        for subset in ({"zz"}, {"v1", "zz"}):
+            with pytest.raises(ValueError, match=self.message):
+                x.measurement(subset)
+            with pytest.raises(ValueError, match=self.message):
+                x.boundary_values([subset])
+            with pytest.raises(ValueError, match=self.message):
+                y.value(subset)
+            with pytest.raises(ValueError, match=self.message):
+                K.measurement_table(g, x).value(subset)
+
+    def test_boundary_labels_still_answer(self, boundary_cycle):
+        g, c = boundary_cycle
+        x = K.skew_kasteleyn_matrix(g, c)
+        y = K.pfaffian_point(g, x)
+        assert y.value(["v2", "v1", "v1"]) == y.value({"v1", "v2"}) == 1
+        assert K.measurement_table(g, x).value(["v1", "v2"]) == 1
+
+
 class TestGrassmannPoint:
     def test_star_point(self):
         g = K.make_graph(
