@@ -73,14 +73,9 @@ def _weights(g, args):
 
 
 def _build_matrix(g, config, args, base_mode: str):
+    build = kasteleyn_matrix if base_mode == "bipartite" else skew_kasteleyn_matrix
     try:
-        if base_mode == "bipartite":
-            return kasteleyn_matrix(
-                g, config, _weights(g, args), seed=args.seed, max_retries=args.max_retries
-            )
-        return skew_kasteleyn_matrix(
-            g, config, _weights(g, args), seed=args.seed, max_retries=args.max_retries
-        )
+        return build(g, config, _weights(g, args), seed=args.seed, max_retries=args.max_retries)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
 

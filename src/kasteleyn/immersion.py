@@ -27,7 +27,7 @@ from .geometry import (
     unit_circle_param,
     unit_circle_point,
 )
-from .graphs import BLACK, WHITE, GraphWithBoundary, Matching, bipartite_vertex_classes
+from .graphs import GraphWithBoundary, Matching, bipartite_vertex_classes
 
 Configuration = dict  # vertex id -> Point
 
@@ -35,7 +35,6 @@ BIPARTITE_CLOSED = "bipartite_closed"
 BIPARTITE_BOUNDARY = "bipartite_boundary"
 GENERAL_CLOSED = "general_closed"
 GENERAL_BOUNDARY = "general_boundary"
-MODES = (BIPARTITE_CLOSED, BIPARTITE_BOUNDARY, GENERAL_CLOSED, GENERAL_BOUNDARY)
 
 
 class DegenerateDrawing(Exception):
@@ -89,9 +88,10 @@ def edge_is_clear(c: Configuration, vertices, u, v) -> bool:
 
 
 def edges_cross(c: Configuration, e1, e2) -> bool:
-    """The two edges cross at one point interior to both."""
-    rel = segment_relation(_segment(c, e1), _segment(c, e2))
-    return rel is SegmentRelation.TRANSVERSAL_CROSS
+    """Two edges of positive length cross at one point interior to both."""
+    p, q = _segment(c, e1)
+    r, s = _segment(c, e2)
+    return orient(p, q, r) * orient(p, q, s) < 0 and orient(r, s, p) * orient(r, s, q) < 0
 
 
 def is_immersion(g: GraphWithBoundary, c: Configuration) -> bool:
@@ -176,17 +176,14 @@ def scale_to_unit_disc(c: Configuration, margin: Fraction = Fraction(1, 8)) -> C
     return {v: ((p[0] - cx) / scale, (p[1] - cy) / scale) for v, p in c.items()}
 
 
-def _mode_of(g: GraphWithBoundary, bipartite: bool) -> str:
-    if bipartite:
-        return BIPARTITE_BOUNDARY if g.boundary else BIPARTITE_CLOSED
-    return GENERAL_BOUNDARY if g.boundary else GENERAL_CLOSED
-
-
 def detect_mode(g: GraphWithBoundary) -> str:
+    """The theorem variant of a graph: colours give the kind, the boundary closedness."""
     colored = [v for v in g.vertices if g.color[v] != "plain"]
     if colored and len(colored) != len(g.vertices):
         raise ValueError("graph mixes colored and uncolored vertices")
-    return _mode_of(g, bipartite=bool(colored))
+    if colored:
+        return BIPARTITE_BOUNDARY if g.boundary else BIPARTITE_CLOSED
+    return GENERAL_BOUNDARY if g.boundary else GENERAL_CLOSED
 
 
 def _jitter(rng: Random) -> Fraction:
@@ -210,28 +207,27 @@ def _arc_parameters(p_from: Point, p_to: Point, m: int, rng: Random) -> list[Fra
 
 
 def canonical_start(
-    g: GraphWithBoundary, mode: str, target: Configuration, seed: int = 0
+    g: GraphWithBoundary, target: Configuration, seed: int = 0
 ) -> Configuration:
     """The start drawing at which the all-plus-ones matrix is valid.
 
-    Closed bipartite graphs start on two parallel lines (blacks above
-    whites, both in index order); closed general graphs on the unit circle
-    in index order.  With a boundary, the boundary vertices are pinned at
-    their target circle positions and the free vertices go on the arc
-    between the last and first boundary vertex so that the counterclockwise
-    order reads: internal whites, boundary, blacks reversed (bipartite),
-    or internal vertices then boundary (general).  At such a drawing the
-    crossing count of every matching equals the inversion count of its
-    determinant term (resp. the crossing parity of its Pfaffian term), so
-    signs may start at +1 everywhere.
+    The layout follows `detect_mode(g)`, so a graph that mixes colored and
+    uncolored vertices raises ValueError.  Closed bipartite graphs start on
+    two parallel lines (blacks above whites, both in index order); closed
+    general graphs on the unit circle in index order.  With a boundary, the
+    boundary vertices are pinned at their target circle positions and the
+    free vertices go on the arc between the last and first boundary vertex
+    so that the counterclockwise order reads: internal whites, boundary,
+    blacks reversed (bipartite), or internal vertices then boundary
+    (general).  At such a drawing the crossing count of every matching
+    equals the inversion count of its determinant term (resp. the crossing
+    parity of its Pfaffian term), so signs may start at +1 everywhere.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    mode = detect_mode(g)
     rng = Random(f"start:{seed}")
     config: Configuration = {}
     if mode == BIPARTITE_CLOSED:
-        blacks = [v for v in g.vertices if g.color[v] == BLACK]
-        whites = [v for v in g.vertices if g.color[v] == WHITE]
+        blacks, whites = bipartite_vertex_classes(g)
         for i, v in enumerate(blacks):
             config[v] = (Fraction(i) + _jitter(rng) / 2, Fraction(1))
         for j, v in enumerate(whites):
@@ -241,8 +237,6 @@ def canonical_start(
         for j, v in enumerate(g.vertices):
             config[v] = unit_circle_point(Fraction(j) + _jitter(rng) / 2)
         return config
-    if not g.boundary:
-        raise ValueError(f"mode {mode!r} needs a nonempty boundary")
     for b in g.boundary:
         if not on_unit_circle(target[b]):
             raise ValueError(f"target boundary vertex {b!r} is not on the unit circle")

@@ -28,16 +28,7 @@ from .graphs import (
     edge_key,
     validate,
 )
-from .immersion import (
-    BIPARTITE_BOUNDARY,
-    BIPARTITE_CLOSED,
-    GENERAL_BOUNDARY,
-    GENERAL_CLOSED,
-    Configuration,
-    is_disc_embedding,
-    is_embedding,
-    is_immersion,
-)
+from .immersion import Configuration, is_disc_embedding, is_embedding, is_immersion
 from .transport import SignAssignment, compute_signed_structure
 
 MATERIALIZE_LIMIT = 16
@@ -72,8 +63,16 @@ class _BoundaryOrder:
             raise ValueError("subset contains non-boundary vertices") from None
 
 
-class _BoundaryColumns(_BoundaryOrder):
-    """Boundary labels and positions shared by both matrix kinds."""
+@dataclass(frozen=True)
+class _SignedMatrix(_BoundaryOrder):
+    """Fields, boundary columns and JSON form shared by both matrix kinds."""
+
+    matrix: linalg.RatMatrix | linalg.SkewMatrix
+    graph: GraphWithBoundary
+    n_internal: int
+    weights: Mapping | None
+    seed: int
+    assignment: SignAssignment
 
     @property
     def boundary(self) -> tuple:
@@ -81,15 +80,18 @@ class _BoundaryColumns(_BoundaryOrder):
 
     boundary_positions = _BoundaryOrder._positions
 
+    def to_jsonable(self) -> dict:
+        return {
+            "kind": self.kind,
+            "n_internal": self.n_internal,
+            "seed": self.seed,
+            "event_digest": self.assignment.digest(),
+            "matrix": self.matrix.to_jsonable(),
+        }
 
-@dataclass(frozen=True)
-class KasteleynMatrix(_BoundaryColumns):
-    matrix: linalg.RatMatrix  # rows: blacks; cols: internal whites then boundary
-    graph: GraphWithBoundary
-    n_internal: int
-    weights: Mapping | None
-    seed: int
-    assignment: SignAssignment
+
+class KasteleynMatrix(_SignedMatrix):
+    kind = "bipartite"  # rows: blacks; cols: internal whites then boundary
 
     @property
     def k(self) -> int:
@@ -121,24 +123,11 @@ class KasteleynMatrix(_BoundaryColumns):
         return [linalg.minor(L, rows, p) if len(p) == self.k else Fraction(0) for p in positions]
 
     def to_jsonable(self) -> dict:
-        return {
-            "kind": "bipartite",
-            "n_internal": self.n_internal,
-            "k": self.k,
-            "seed": self.seed,
-            "event_digest": self.assignment.digest(),
-            "matrix": self.matrix.to_jsonable(),
-        }
+        return {**super().to_jsonable(), "k": self.k}
 
 
-@dataclass(frozen=True)
-class SkewKasteleynMatrix(_BoundaryColumns):
-    matrix: linalg.SkewMatrix  # labels: internal vertices then boundary
-    graph: GraphWithBoundary
-    n_internal: int
-    weights: Mapping | None
-    seed: int
-    assignment: SignAssignment
+class SkewKasteleynMatrix(_SignedMatrix):
+    kind = "general"  # labels: internal vertices then boundary
 
     def measurement(self, subset) -> Fraction:
         """Pfaffian of the principal minor on internals plus the subset."""
@@ -162,14 +151,20 @@ class SkewKasteleynMatrix(_BoundaryColumns):
             for s in subsets
         ]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "general",
-            "n_internal": self.n_internal,
-            "seed": self.seed,
-            "event_digest": self.assignment.digest(),
-            "matrix": self.matrix.to_jsonable(),
-        }
+
+def _signed_entries(g, kind, target, weights, seed, max_retries, require_embedded):
+    """Validate, check the target, transport; map each edge to sign * weight.
+
+    Also returns the `_SignedMatrix` fields that follow `matrix`.
+    """
+    report = validate(g, kind)
+    if not report.ok:
+        raise ValueError(f"invalid {kind} graph: " + "; ".join(report.problems))
+    weights = checked_weights(g.edges, weights)
+    _check_target(g, target, require_embedded)
+    assignment = compute_signed_structure(g, target, seed, max_retries)
+    entries = {e: assignment.sign(e) * g.weight_of(e, weights) for e in g.sorted_edges}
+    return entries, (g, report.n_internal, weights, seed, assignment)
 
 
 def kasteleyn_matrix(
@@ -188,24 +183,19 @@ def kasteleyn_matrix(
     to False the target may have edge crossings and the minors equal the
     crossing-signed sums instead.
     """
-    report = validate(g, "bipartite")
-    if not report.ok:
-        raise ValueError("invalid bipartite graph: " + "; ".join(report.problems))
-    weights = checked_weights(g.edges, weights)
-    _check_target(g, target, require_embedded)
-    mode = BIPARTITE_BOUNDARY if g.boundary else BIPARTITE_CLOSED
-    assignment = compute_signed_structure(g, mode, target, seed, max_retries)
+    entries, fields = _signed_entries(
+        g, "bipartite", target, weights, seed, max_retries, require_embedded
+    )
     blacks, whites = bipartite_vertex_classes(g)
     wcol = {w: j for j, w in enumerate(whites)}
     rows = []
     for b in blacks:
         row = [Fraction(0)] * len(whites)
         for u in g.adjacency[b]:
-            e = edge_key(b, u)
-            row[wcol[u]] = assignment.sign(e) * g.weight_of(e, weights)
+            row[wcol[u]] = entries[edge_key(b, u)]
         rows.append(tuple(row))
     m = linalg.RatMatrix(tuple(rows), tuple(blacks), tuple(whites))
-    return KasteleynMatrix(m, g, report.n_internal, weights, seed, assignment)
+    return KasteleynMatrix(m, *fields)
 
 
 def skew_kasteleyn_matrix(
@@ -222,27 +212,21 @@ def skew_kasteleyn_matrix(
     internal vertices plus a boundary subset I equals the (weighted)
     number of matchings with boundary trace I.
     """
-    report = validate(g, "general")
-    if not report.ok:
-        raise ValueError("invalid general graph: " + "; ".join(report.problems))
-    weights = checked_weights(g.edges, weights)
-    _check_target(g, target, require_embedded)
-    mode = GENERAL_BOUNDARY if g.boundary else GENERAL_CLOSED
-    assignment = compute_signed_structure(g, mode, target, seed, max_retries)
+    entries, fields = _signed_entries(
+        g, "general", target, weights, seed, max_retries, require_embedded
+    )
     order = list(g.internal_vertices) + list(g.boundary)
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for e in g.sorted_edges:
-        u, v = e
+    for (u, v), value in entries.items():
         i, j = pos[u], pos[v]
         if i > j:
             i, j = j, i
-        value = assignment.sign(e) * g.weight_of(e, weights)
         rows[i][j] = value
         rows[j][i] = -value
     m = linalg.skew(rows, tuple(order))
-    return SkewKasteleynMatrix(m, g, report.n_internal, weights, seed, assignment)
+    return SkewKasteleynMatrix(m, *fields)
 
 
 @dataclass(frozen=True)
@@ -286,7 +270,7 @@ def measurement_table(
     evaluation.  Tables above the materialization limit must be queried
     subset by subset via the matrix object instead.
     """
-    mode = "bipartite" if isinstance(matrix, KasteleynMatrix) else "general"
+    mode = matrix.kind
     if matrix.graph is not g and matrix.graph != g:
         raise ValueError("matrix was built from a different graph")
     n = len(g.boundary)

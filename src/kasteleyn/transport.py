@@ -27,14 +27,7 @@ from .geometry import (
     roots_in_open_unit_interval,
 )
 from .graphs import GraphWithBoundary
-from .immersion import (
-    Configuration,
-    PathPlan,
-    canonical_start,
-    MODES,
-    BIPARTITE_BOUNDARY,
-    GENERAL_BOUNDARY,
-)
+from .immersion import Configuration, PathPlan, canonical_start
 
 
 class DegeneratePath(Exception):
@@ -137,21 +130,20 @@ def _random_waypoint(
 
 def build_path(
     g: GraphWithBoundary,
-    mode: str,
     target: Configuration,
     seed: int = 0,
     extra_waypoints: int = 0,
 ) -> PathPlan:
     """Straight-line path from the canonical start to the target.
 
+    The start drawing follows the graph's own mode (`canonical_start`), so
+    a graph mixing colored and uncolored vertices raises ValueError.
     Boundary vertices are pinned at their target positions throughout.
     Optional seeded interior waypoints are inserted to break degeneracies
     found during transport.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    pinned = frozenset(g.boundary) if mode in (BIPARTITE_BOUNDARY, GENERAL_BOUNDARY) else frozenset()
-    start = canonical_start(g, mode, target, seed)
+    pinned = frozenset(g.boundary)
+    start = canonical_start(g, target, seed)
     rng = Random(f"waypoints:{seed}")
     waypoints = [start]
     for _ in range(extra_waypoints):
@@ -244,25 +236,24 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
 
 def compute_signed_structure(
     g: GraphWithBoundary,
-    mode: str,
     target: Configuration,
     seed: int = 0,
     max_retries: int = 32,
 ) -> SignAssignment:
     """Transport with deterministic retry on degeneracy.
 
-    Attempt i reruns the whole construction with a derived seed; retries
-    insert one random interior waypoint to step around the codimension-two
-    bad set.  Deterministic in (inputs, seed).
+    The start drawing and the pinned vertices follow from the graph alone
+    (`build_path`); a graph mixing colored and uncolored vertices raises
+    ValueError.  Attempt i reruns the whole construction with a derived
+    seed; retries insert one random interior waypoint to step around the
+    codimension-two bad set.  Deterministic in (inputs, seed).
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be nonnegative, not {max_retries}")
     last: DegeneratePath | None = None
     for attempt in range(max_retries + 1):
         attempt_seed = derive_seed(seed, attempt)
-        path = build_path(
-            g, mode, target, attempt_seed, extra_waypoints=0 if attempt == 0 else 1
-        )
+        path = build_path(g, target, attempt_seed, extra_waypoints=0 if attempt == 0 else 1)
         try:
             result = transport_signs(g, path, seed=attempt_seed)
         except DegeneratePath as exc:

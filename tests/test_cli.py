@@ -1,14 +1,17 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from kasteleyn.cli import main
+from kasteleyn.cli import _common, build_parser, main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def fixture(name: str) -> str:
@@ -223,3 +226,29 @@ class TestInputErrors:
         assert code == 3
         assert out == ""
         assert err == "validation error: max_retries must be nonnegative, not -1\n"
+
+
+def _option_strings(parser) -> set:
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+class TestReadmeUsage:
+    def test_usage_lines_list_each_subcommands_own_flags(self):
+        # The README's usage block names each subcommand's own flags; the
+        # global ones (--json, --seed, --max-retries) are described after it.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        usage = {}
+        for line in block.strip().splitlines():
+            words = line.split()
+            assert words[0] == "kasteleyn", line
+            usage[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+        common = argparse.ArgumentParser()
+        _common(common)
+        global_flags = _option_strings(common)
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(usage) == set(subparsers.choices)
+        for name, sub in subparsers.choices.items():
+            assert usage[name] - global_flags == _option_strings(sub) - global_flags, name

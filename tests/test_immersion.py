@@ -11,6 +11,7 @@ from kasteleyn.immersion import (
     GENERAL_BOUNDARY,
     GENERAL_CLOSED,
     boundary_in_ccw_order,
+    edges_cross,
 )
 
 F = Fraction
@@ -114,6 +115,33 @@ class TestEmbeddingRule:
         assert outcomes == {(False, False), (True, False), (True, True)}
 
 
+class TestEdgesCross:
+    def test_matches_segment_relation(self):
+        # A 7x7 lattice makes collinear, touching and shared-endpoint pairs
+        # common; every fourth pair is forced to share an endpoint.
+        rng = Random(7)
+        lattice = [(F(x), F(y)) for x in range(7) for y in range(7)]
+        relations = set()
+        tested = collinear = 0
+        for i in range(12000):
+            p, q, r, s = (rng.choice(lattice) for _ in range(4))
+            if i % 4 == 0:
+                r = p
+            if p == q or r == s:
+                continue
+            c = {"p": p, "q": q, "r": r, "s": s}
+            rel = K.segment_relation((p, q), (r, s))
+            assert edges_cross(c, ("p", "q"), ("r", "s")) == (
+                rel is K.SegmentRelation.TRANSVERSAL_CROSS
+            ), (p, q, r, s)
+            relations.add(rel)
+            tested += 1
+            collinear += K.orient(p, q, r) == 0 and K.orient(p, q, s) == 0
+        assert tested >= 10_000
+        assert relations == set(K.SegmentRelation)
+        assert collinear > 100
+
+
 class TestDiscEmbedding:
     def test_boundary_cycle(self, boundary_cycle):
         g, c = boundary_cycle
@@ -203,42 +231,42 @@ def _pfaffian_term_sign(g, matching, subset):
 class TestCanonicalStart:
     def test_two_lines_for_closed_bipartite(self):
         g, c = square_cycle()
-        start = K.canonical_start(g, BIPARTITE_CLOSED, c, seed=0)
+        start = K.canonical_start(g, c, seed=0)
         assert {p[1] for v, p in start.items() if g.color[v] == "black"} == {1}
         assert {p[1] for v, p in start.items() if g.color[v] == "white"} == {0}
         assert K.is_immersion(g, start)
 
     def test_boundary_positions_are_pinned(self, fan):
         g, c = fan
-        start = K.canonical_start(g, BIPARTITE_BOUNDARY, c, seed=5)
+        start = K.canonical_start(g, c, seed=5)
         for b in g.boundary:
             assert start[b] == c[b]
         assert K.is_immersion(g, start)
 
     def test_all_boundary_start_equals_target(self, boundary_cycle):
         g, c = boundary_cycle
-        start = K.canonical_start(g, GENERAL_BOUNDARY, c, seed=0)
+        start = K.canonical_start(g, c, seed=0)
         assert start == c
 
     def test_sign_law_bipartite(self, fan):
         # At the canonical start the geometric sign of every matching
         # equals the sign of its determinant term.
         g, c = fan
-        start = K.canonical_start(g, BIPARTITE_BOUNDARY, c, seed=3)
+        start = K.canonical_start(g, c, seed=3)
         for m in K.enumerate_matchings(g):
             subset = K.boundary_of(m, g)
             assert K.matching_sign(g, start, m) == _bipartite_term_sign(g, m, subset)
 
     def test_sign_law_bipartite_closed(self):
         g, c = square_cycle()
-        start = K.canonical_start(g, BIPARTITE_CLOSED, c, seed=1)
+        start = K.canonical_start(g, c, seed=1)
         for m in K.enumerate_matchings(g):
             assert K.matching_sign(g, start, m) == _bipartite_term_sign(g, m, frozenset())
 
     def test_sign_law_general(self):
         for seed in range(3):
             g, c = K.generate_random_disc_graph("general", 4, n_internal=2, seed=seed)
-            start = K.canonical_start(g, GENERAL_BOUNDARY, c, seed=seed)
+            start = K.canonical_start(g, c, seed=seed)
             assert K.is_immersion(g, start)
             for m in K.enumerate_matchings(g):
                 subset = K.boundary_of(m, g)
@@ -246,7 +274,7 @@ class TestCanonicalStart:
 
     def test_sign_law_general_closed(self):
         g, c = K.generate_triangulation_subgraph(6, seed=4)
-        start = K.canonical_start(g, GENERAL_CLOSED, c, seed=0)
+        start = K.canonical_start(g, c, seed=0)
         for m in K.enumerate_matchings(g):
             assert K.matching_sign(g, start, m) == _pfaffian_term_sign(g, m, frozenset())
 
@@ -255,7 +283,7 @@ class TestCanonicalStart:
         broken = dict(c)
         broken["a"] = (F(1, 2), F(0))
         with pytest.raises(ValueError):
-            K.canonical_start(g, BIPARTITE_BOUNDARY, broken, seed=0)
+            K.canonical_start(g, broken, seed=0)
 
 
 class TestDetectMode:

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import kasteleyn as K
+from kasteleyn.graphs import bipartite_vertex_classes
 
 from conftest import random_weights
 
@@ -328,3 +329,68 @@ class TestMatrixJson:
         t = K.measurement_table(g, m)
         tp = t.to_jsonable()
         assert tp["values"]["a,b"] == "1"
+
+
+def _reference_bipartite(g, assignment, weights):
+    """Reference assembly: rows blacks, columns whites, entry sign * weight."""
+    blacks, whites = bipartite_vertex_classes(g)
+    wcol = {w: j for j, w in enumerate(whites)}
+    rows = []
+    for b in blacks:
+        row = [Fraction(0)] * len(whites)
+        for u in g.adjacency[b]:
+            e = K.edge_key(b, u)
+            row[wcol[u]] = assignment.sign(e) * g.weight_of(e, weights)
+        rows.append(tuple(row))
+    return K.RatMatrix(tuple(rows), tuple(blacks), tuple(whites))
+
+
+def _reference_skew(g, assignment, weights):
+    """Reference assembly: internal vertices then boundary, +entry above the diagonal."""
+    order = list(g.internal_vertices) + list(g.boundary)
+    pos = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for e in g.sorted_edges:
+        u, v = e
+        i, j = pos[u], pos[v]
+        if i > j:
+            i, j = j, i
+        value = assignment.sign(e) * g.weight_of(e, weights)
+        rows[i][j] = value
+        rows[j][i] = -value
+    return K.skew(rows, tuple(order))
+
+
+# Ten seeded graphs of each kind: closed / boundary, bipartite / general.
+BUILDER_CASES = (
+    [("bipartite", K.generate_grid, rc)
+     for rc in [(2, 2), (2, 3), (3, 2), (2, 5), (3, 4), (4, 3), (4, 4)]]
+    + [("bipartite", K.generate_aztec, (n,)) for n in (1, 2, 3)]
+    + [("bipartite", K.generate_random_disc_graph, ("bipartite", *p, i)) for i, p in enumerate(
+        [(4, 2, 2), (5, 2, 1), (6, 1, 2), (4, 1, 1), (8, 1, 2),
+         (5, 1, 2), (6, 2, 1), (4, 3, 1), (7, 1, 3), (6, 0, 2)])]
+    + [("general", K.generate_triangulation_subgraph, (n, i))
+       for i, n in enumerate([4, 5, 6, 6, 7, 7, 8, 8, 9, 10])]
+    + [("general", K.generate_random_disc_graph, ("general", n, N, 0, i))
+       for i, (n, N) in enumerate(
+        [(4, 4), (4, 2), (6, 2), (5, 3), (6, 4), (3, 1), (4, 6), (6, 0), (2, 4), (5, 5)])]
+)
+
+
+class TestBuilderAssembly:
+    @pytest.mark.parametrize(
+        "kind, generate, args", BUILDER_CASES,
+        ids=[f"{gen.__name__}{args}" for _, gen, args in BUILDER_CASES],
+    )
+    def test_matches_reference_assembly(self, kind, generate, args):
+        g, c = generate(*args)
+        build, reference = {
+            "bipartite": (K.kasteleyn_matrix, _reference_bipartite),
+            "general": (K.skew_kasteleyn_matrix, _reference_skew),
+        }[kind]
+        for weights in (None, random_weights(g, len(g.vertices))):
+            m = build(g, c, weights, seed=3)
+            assert m.matrix == reference(g, m.assignment, weights)
+            assert (m.graph, m.seed, m.weights) == (g, 3, weights)
+            assert m.n_internal == K.validate(g, kind).n_internal

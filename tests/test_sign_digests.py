@@ -11,7 +11,6 @@ ran Horner's rule by arithmetic in the quadratic field.
 import pytest
 
 import kasteleyn as K
-from kasteleyn.immersion import detect_mode
 from test_transport import colliding_fixture
 
 PINS = {
@@ -41,5 +40,5 @@ PINS = {
 def test_digest_and_attempts_are_pinned(name):
     make, digest, attempts = PINS[name]
     g, c = make()
-    result = K.compute_signed_structure(g, detect_mode(g), c, seed=0)
+    result = K.compute_signed_structure(g, c, seed=0)
     assert (result.digest(), result.attempts) == (digest, attempts)

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import kasteleyn as K
-from kasteleyn.immersion import BIPARTITE_CLOSED, GENERAL_BOUNDARY, PathPlan
+from kasteleyn.immersion import PathPlan
 from kasteleyn.transport import DegeneratePath
 
 F = Fraction
@@ -135,19 +135,19 @@ class TestTransportSigns:
 class TestBuildPath:
     def test_single_segment_by_default(self):
         g, c = K.generate_grid(2, 2)
-        plan = K.build_path(g, BIPARTITE_CLOSED, c, seed=0)
+        plan = K.build_path(g, c, seed=0)
         assert plan.segments == 1
         assert plan.pinned == frozenset()
         assert plan.waypoints[-1] == c
 
     def test_empty_motion_for_all_boundary_graph(self, boundary_cycle):
         g, c = boundary_cycle
-        plan = K.build_path(g, GENERAL_BOUNDARY, c, seed=0)
+        plan = K.build_path(g, c, seed=0)
         assert plan.segments == 0
 
     def test_extra_waypoint_stays_pinned(self, fan):
         g, c = fan
-        plan = K.build_path(g, "bipartite_boundary", c, seed=1, extra_waypoints=1)
+        plan = K.build_path(g, c, seed=1, extra_waypoints=1)
         assert plan.segments == 2
         for b in g.boundary:
             for w in plan.waypoints:
@@ -180,13 +180,13 @@ class TestRetries:
         from kasteleyn.transport import derive_seed
 
         g, target = colliding_fixture()
-        plan = K.build_path(g, BIPARTITE_CLOSED, target, seed=derive_seed(0, 0))
+        plan = K.build_path(g, target, seed=derive_seed(0, 0))
         with pytest.raises(DegeneratePath):
             K.transport_signs(g, plan)
 
     def test_retry_succeeds_with_extra_waypoint(self):
         g, target = colliding_fixture()
-        result = K.compute_signed_structure(g, BIPARTITE_CLOSED, target, seed=0)
+        result = K.compute_signed_structure(g, target, seed=0)
         assert result.attempts >= 2
         matrix = K.kasteleyn_matrix(g, target, require_embedded=False)
         assert matrix.measurement(()) == K.signed_sum(g, target)
@@ -194,7 +194,7 @@ class TestRetries:
     def test_retries_exhausted(self):
         g, target = colliding_fixture()
         with pytest.raises(K.RetriesExhausted) as err:
-            K.compute_signed_structure(g, BIPARTITE_CLOSED, target, seed=0, max_retries=0)
+            K.compute_signed_structure(g, target, seed=0, max_retries=0)
         assert err.value.attempts == 1
         assert isinstance(err.value.last, DegeneratePath)
 
@@ -202,8 +202,8 @@ class TestRetries:
 class TestComputeSignedStructure:
     def test_deterministic(self, fan):
         g, c = fan
-        one = K.compute_signed_structure(g, "bipartite_boundary", c, seed=9)
-        two = K.compute_signed_structure(g, "bipartite_boundary", c, seed=9)
+        one = K.compute_signed_structure(g, c, seed=9)
+        two = K.compute_signed_structure(g, c, seed=9)
         assert one.signs == two.signs
         assert one.events == two.events
         assert one.digest() == two.digest()
@@ -213,7 +213,7 @@ class TestComputeSignedStructure:
             g, c = K.generate_random_disc_graph(
                 "general", 5, n_internal=4, seed=seed
             )
-            result = K.compute_signed_structure(g, GENERAL_BOUNDARY, c, seed=seed)
+            result = K.compute_signed_structure(g, c, seed=seed)
             for event in result.events:
                 assert event.vertex not in g.boundary_set
 
@@ -241,8 +241,19 @@ class TestSerialization:
         assert payload["events"][0]["t"] == {"a": "1/2", "b": "0", "d": "0"}
 
 
+class TestModeFromGraph:
+    @pytest.mark.parametrize(
+        "fn", [K.canonical_start, K.build_path, K.compute_signed_structure]
+    )
+    def test_mixed_coloring_refused(self, fn):
+        g = K.make_graph(["a", "b", "v"], {"a": "black", "b": "white"}, [("a", "b")])
+        _, low, _ = sweep_fixture()
+        with pytest.raises(ValueError, match="mixes colored and uncolored"):
+            fn(g, low)
+
+
 class TestRetryBudget:
     def test_negative_retries_rejected_before_any_attempt(self):
         g, c = K.generate_grid(2, 3)
         with pytest.raises(ValueError, match="max_retries must be nonnegative, not -1"):
-            K.compute_signed_structure(g, BIPARTITE_CLOSED, c, max_retries=-1)
+            K.compute_signed_structure(g, c, max_retries=-1)
