@@ -21,6 +21,7 @@ from .graphs import (
     ValidationReport,
     boundary_of,
     edge_key,
+    graph_kind,
     make_graph,
     matching_weight,
     validate,
@@ -35,13 +36,10 @@ from .immersion import (
     PathPlan,
     canonical_start,
     crossing_number,
-    detect_mode,
     is_disc_embedding,
     is_embedding,
-    is_generic,
     is_immersion,
     matching_sign,
-    scale_to_unit_disc,
 )
 from .transport import (
     DegeneratePath,

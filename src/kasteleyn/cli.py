@@ -12,14 +12,13 @@ import sys
 from itertools import combinations
 
 from .graphfile import GraphFileError, parse
-from .graphs import validate
+from .graphs import graph_kind, validate
 from .identities import (
     check_kuo_bipartite,
     check_kuo_general,
     check_pfaffian_consistency,
     check_plucker_three_term,
 )
-from .immersion import detect_mode, BIPARTITE_BOUNDARY, BIPARTITE_CLOSED
 from .measurements import (
     MATERIALIZE_LIMIT,
     grassmann_point,
@@ -57,15 +56,16 @@ def _load(path: str):
 
 
 def _graph_mode(g) -> str:
+    """The graph's kind, for the subcommand guards; a mixed coloring exits 3."""
     try:
-        mode = detect_mode(g)
+        return graph_kind(g)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-    base = "bipartite" if mode in (BIPARTITE_CLOSED, BIPARTITE_BOUNDARY) else "general"
-    report = validate(g, base)
-    if not report.ok:
-        raise ValidationFailure("; ".join(report.problems))
-    return base
+
+
+def _refuse_large_table(g) -> None:
+    if len(g.boundary) > MATERIALIZE_LIMIT:
+        raise ValidationFailure("boundary too large to tabulate; pass --subset")
 
 
 def _weights(g, args):
@@ -134,6 +134,8 @@ def cmd_matrix(args) -> int:
 def cmd_measure(args) -> int:
     g, config = _load(args.file)
     base = _graph_mode(g)
+    if args.subset is None:
+        _refuse_large_table(g)
     matrix = _build_matrix(g, config, args, base)
     if args.subset is not None:
         subset = _parse_subset(g, args.subset)
@@ -187,6 +189,9 @@ def cmd_pfaffian_point(args) -> int:
 def cmd_oracle(args) -> int:
     g, config = _load(args.file)
     _graph_mode(g)
+    report = validate(g)
+    if not report.ok:
+        raise ValidationFailure("; ".join(report.problems))
     weights = _weights(g, args)
     fn = (lambda s: signed_sum(g, config, s, weights)) if args.signed else (
         lambda s: oracle_measurement(g, s, weights)
@@ -200,8 +205,7 @@ def cmd_oracle(args) -> int:
             [str(value)],
         )
         return EXIT_OK
-    if len(g.boundary) > MATERIALIZE_LIMIT:
-        raise ValidationFailure("boundary too large to tabulate; pass --subset")
+    _refuse_large_table(g)
     subsets = [
         frozenset(s)
         for size in range(len(g.boundary) + 1)

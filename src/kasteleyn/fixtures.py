@@ -143,6 +143,8 @@ def generate_random_disc_graph(
         )
     if mode == "bipartite" and k < 0:
         raise UnrealizableParameters("k must be nonnegative")
+    if mode == "bipartite" and n_boundary == n_internal == 0:
+        raise UnrealizableParameters("an empty graph has no colors, so its kind is general")
     boundary = [f"t{i}" for i in range(n_boundary)]
     config: Configuration = {}
     for b, t in zip(boundary, _distinct_circle_params(rng, n_boundary)):
@@ -172,8 +174,8 @@ def generate_random_disc_graph(
     vertices = interior + boundary
     edges = _greedy_planar_edges(config, vertices, candidates, rng)
     g = make_graph(vertices, colors, edges, boundary)
-    report = validate(g, mode)
-    assert report.ok, report.problems
+    report = validate(g)
+    assert report.ok and report.mode == mode, report
     assert is_disc_embedding(g, config)
     return g, config
 

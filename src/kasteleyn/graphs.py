@@ -82,7 +82,8 @@ def make_graph(
     Edges referencing unknown vertices and bad weights (see
     `checked_weights`) are rejected here; everything the counting
     theorems need (coloring discipline, boundary membership, no
-    self-loops) is reported by `validate`.
+    self-loops) is reported by `validate`, which raises ValueError on a
+    graph that mixes colored and uncolored vertices.
     """
     vs = tuple(vertices)
     if len(set(vs)) != len(vs):
@@ -149,16 +150,29 @@ def bipartite_vertex_classes(g: GraphWithBoundary) -> tuple[list, list]:
     return blacks, internal_whites + list(g.boundary)
 
 
-def validate(g: GraphWithBoundary, mode: str) -> ValidationReport:
-    """Check the hypotheses of the counting theorems for the given mode.
+def graph_kind(g: GraphWithBoundary) -> str:
+    """The theorem variant a graph's coloring selects.
 
-    mode 'bipartite': proper 2-coloring, all boundary vertices white,
-    at least as many blacks as internal whites.  mode 'general': all
-    vertices uncolored.  The report carries every violation plus the
-    derived counts (N, k, n).
+    'bipartite' when every vertex is colored, 'general' when none is; a
+    graph that mixes colored and uncolored vertices raises ValueError.
     """
-    if mode not in ("bipartite", "general"):
-        raise ValueError(f"unknown mode {mode!r}")
+    colored = [v for v in g.vertices if g.color[v] != PLAIN]
+    if not colored:
+        return "general"
+    if len(colored) != len(g.vertices):
+        raise ValueError("graph mixes colored and uncolored vertices")
+    return "bipartite"
+
+
+def validate(g: GraphWithBoundary) -> ValidationReport:
+    """Check the hypotheses of the counting theorems for the graph's kind.
+
+    The kind is `graph_kind(g)`, so a mixed coloring raises ValueError.
+    Bipartite graphs need a proper 2-coloring, all boundary vertices
+    white and at least as many blacks as internal whites.  The report
+    carries every violation plus the kind and the derived counts (N, k, n).
+    """
+    kind = graph_kind(g)
     problems: list[str] = []
     seen = set()
     for b in g.boundary:
@@ -170,12 +184,9 @@ def validate(g: GraphWithBoundary, mode: str) -> ValidationReport:
     for u, v in sorted(g.edges):
         if u == v:
             problems.append(f"self-loop at {u!r}")
-    if mode == "bipartite":
-        for v in g.vertices:
-            if g.color[v] == PLAIN:
-                problems.append(f"vertex {v!r} is uncolored in bipartite mode")
+    if kind == "bipartite":
         for u, v in sorted(g.edges):
-            if u != v and PLAIN not in (g.color[u], g.color[v]) and g.color[u] == g.color[v]:
+            if u != v and g.color[u] == g.color[v]:
                 problems.append(f"non-bipartite edge ({u!r}, {v!r})")
         for b in g.boundary:
             if b in g.vertex_index and g.color[b] != WHITE:
@@ -188,16 +199,9 @@ def validate(g: GraphWithBoundary, mode: str) -> ValidationReport:
                 f"{len(blacks)} black vertices cannot cover {n_internal} internal whites"
             )
     else:
-        for v in g.vertices:
-            if g.color[v] != PLAIN:
-                problems.append(f"vertex {v!r} is colored in general mode")
         n_internal = len(g.internal_vertices)
         k = None
-    if g.weights is not None:
-        for e, w in g.weights.items():
-            if w <= 0:
-                problems.append(f"nonpositive weight on {e!r}")
-    return ValidationReport(mode, tuple(problems), n_internal, k, len(g.boundary))
+    return ValidationReport(kind, tuple(problems), n_internal, k, len(g.boundary))
 
 
 def is_matching(g: GraphWithBoundary, m: Matching) -> bool:

@@ -1,11 +1,10 @@
 """Vertex configurations in the plane and the canonical start drawings.
 
 A configuration maps every vertex to an exact point.  Membership tests
-distinguish three nested classes: generic configurations (distinct vertex
-images, no two edges overlapping in a segment), immersions (additionally
-no vertex on a non-incident closed edge) and embeddings (additionally no
-edge crossings).  Disc embeddings pin the boundary on the unit circle in
-its circular order with everything else strictly inside.
+distinguish nested classes: immersions (every edge of positive length,
+no vertex on a non-incident closed edge), embeddings (additionally no
+edge crossings) and disc embeddings, which pin the boundary on the unit
+circle in its circular order with everything else strictly inside.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .geometry import (
     Point,
     SegmentRelation,
     circle_sort_key,
-    collinear_overlap,
     inside_unit_circle,
     on_unit_circle,
     orient,
@@ -27,14 +25,9 @@ from .geometry import (
     unit_circle_param,
     unit_circle_point,
 )
-from .graphs import GraphWithBoundary, Matching, bipartite_vertex_classes
+from .graphs import GraphWithBoundary, Matching, bipartite_vertex_classes, graph_kind
 
 Configuration = dict  # vertex id -> Point
-
-BIPARTITE_CLOSED = "bipartite_closed"
-BIPARTITE_BOUNDARY = "bipartite_boundary"
-GENERAL_CLOSED = "general_closed"
-GENERAL_BOUNDARY = "general_boundary"
 
 
 class DegenerateDrawing(Exception):
@@ -61,22 +54,6 @@ def _check_total(g: GraphWithBoundary, c: Configuration) -> None:
 
 def _segment(c: Configuration, e) -> tuple[Point, Point]:
     return (c[e[0]], c[e[1]])
-
-
-def is_generic(g: GraphWithBoundary, c: Configuration) -> bool:
-    """Distinct vertex images and no two edges overlapping in a segment."""
-    _check_total(g, c)
-    pts = [c[v] for v in g.vertices]
-    if len(set(pts)) != len(pts):
-        return False
-    edges = g.sorted_edges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            s1, s2 = _segment(c, edges[i]), _segment(c, edges[j])
-            if orient(s1[0], s1[1], s2[0]) == 0 and orient(s1[0], s1[1], s2[1]) == 0:
-                if collinear_overlap(s1, s2) > 0:
-                    return False
-    return True
 
 
 def edge_is_clear(c: Configuration, vertices, u, v) -> bool:
@@ -162,30 +139,6 @@ def matching_sign(g: GraphWithBoundary, c: Configuration, m: Matching) -> int:
     return -1 if crossing_number(g, c, m) % 2 else 1
 
 
-def scale_to_unit_disc(c: Configuration, margin: Fraction = Fraction(1, 8)) -> Configuration:
-    """Affinely squeeze a configuration into the open unit disc."""
-    xs = [p[0] for p in c.values()]
-    ys = [p[1] for p in c.values()]
-    cx = (min(xs) + max(xs)) / 2
-    cy = (min(ys) + max(ys)) / 2
-    # |p|_2 <= |p|_1, so the L1 radius bounds the euclidean one exactly.
-    radius = max(
-        (abs(p[0] - cx) + abs(p[1] - cy) for p in c.values()), default=Fraction(0)
-    )
-    scale = radius * (1 + margin) if radius else Fraction(1)
-    return {v: ((p[0] - cx) / scale, (p[1] - cy) / scale) for v, p in c.items()}
-
-
-def detect_mode(g: GraphWithBoundary) -> str:
-    """The theorem variant of a graph: colours give the kind, the boundary closedness."""
-    colored = [v for v in g.vertices if g.color[v] != "plain"]
-    if colored and len(colored) != len(g.vertices):
-        raise ValueError("graph mixes colored and uncolored vertices")
-    if colored:
-        return BIPARTITE_BOUNDARY if g.boundary else BIPARTITE_CLOSED
-    return GENERAL_BOUNDARY if g.boundary else GENERAL_CLOSED
-
-
 def _jitter(rng: Random) -> Fraction:
     return Fraction(rng.randrange(1 << 16), 1 << 16)
 
@@ -211,29 +164,29 @@ def canonical_start(
 ) -> Configuration:
     """The start drawing at which the all-plus-ones matrix is valid.
 
-    The layout follows `detect_mode(g)`, so a graph that mixes colored and
-    uncolored vertices raises ValueError.  Closed bipartite graphs start on
-    two parallel lines (blacks above whites, both in index order); closed
-    general graphs on the unit circle in index order.  With a boundary, the
-    boundary vertices are pinned at their target circle positions and the
-    free vertices go on the arc between the last and first boundary vertex
-    so that the counterclockwise order reads: internal whites, boundary,
-    blacks reversed (bipartite), or internal vertices then boundary
-    (general).  At such a drawing the crossing count of every matching
+    The layout follows `graph_kind(g)` and the boundary, so a graph that
+    mixes colored and uncolored vertices raises ValueError.  Closed
+    bipartite graphs start on two parallel lines (blacks above whites, both
+    in index order); closed general graphs on the unit circle in index
+    order.  With a boundary, the boundary vertices are pinned at their
+    target circle positions and the free vertices go on the arc between
+    the last and first boundary vertex so that the counterclockwise order
+    reads: internal whites, boundary, blacks reversed (bipartite), or
+    internal vertices then boundary (general).  At such a drawing the crossing count of every matching
     equals the inversion count of its determinant term (resp. the crossing
     parity of its Pfaffian term), so signs may start at +1 everywhere.
     """
-    mode = detect_mode(g)
+    bipartite = graph_kind(g) == "bipartite"
     rng = Random(f"start:{seed}")
     config: Configuration = {}
-    if mode == BIPARTITE_CLOSED:
+    if bipartite and not g.boundary:
         blacks, whites = bipartite_vertex_classes(g)
         for i, v in enumerate(blacks):
             config[v] = (Fraction(i) + _jitter(rng) / 2, Fraction(1))
         for j, v in enumerate(whites):
             config[v] = (Fraction(j) + _jitter(rng) / 2, Fraction(0))
         return config
-    if mode == GENERAL_CLOSED:
+    if not g.boundary:
         for j, v in enumerate(g.vertices):
             config[v] = unit_circle_point(Fraction(j) + _jitter(rng) / 2)
         return config
@@ -241,7 +194,7 @@ def canonical_start(
         if not on_unit_circle(target[b]):
             raise ValueError(f"target boundary vertex {b!r} is not on the unit circle")
         config[b] = target[b]
-    if mode == BIPARTITE_BOUNDARY:
+    if bipartite:
         blacks, whites = bipartite_vertex_classes(g)
         free = list(reversed(blacks)) + whites[: -len(g.boundary)]
     else:

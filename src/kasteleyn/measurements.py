@@ -155,9 +155,12 @@ class SkewKasteleynMatrix(_SignedMatrix):
 def _signed_entries(g, kind, target, weights, seed, max_retries, require_embedded):
     """Validate, check the target, transport; map each edge to sign * weight.
 
-    Also returns the `_SignedMatrix` fields that follow `matrix`.
+    A graph of the other kind raises ValueError.  Also returns the
+    `_SignedMatrix` fields that follow `matrix`.
     """
-    report = validate(g, kind)
+    report = validate(g)
+    if report.mode != kind:
+        raise ValueError(f"the {kind} builder needs a {kind} graph, not a {report.mode} one")
     if not report.ok:
         raise ValueError(f"invalid {kind} graph: " + "; ".join(report.problems))
     weights = checked_weights(g.edges, weights)
@@ -258,26 +261,22 @@ class MeasurementTable(_BoundaryOrder):
         }
 
 
-def measurement_table(
-    g: GraphWithBoundary,
-    matrix,
-    materialize_limit: int = MATERIALIZE_LIMIT,
-) -> MeasurementTable:
+def measurement_table(g: GraphWithBoundary, matrix) -> MeasurementTable:
     """Evaluate the minor (or Pfaffian minor) for every admissible subset.
 
     Parity-forced zeros (wrong subset size in bipartite mode, odd total in
     general mode) are not stored; `value` reports them as zero without
-    evaluation.  Tables above the materialization limit must be queried
-    subset by subset via the matrix object instead.
+    evaluation.  A boundary of more than MATERIALIZE_LIMIT vertices raises
+    ValueError; query the matrix subset by subset instead.
     """
     mode = matrix.kind
     if matrix.graph is not g and matrix.graph != g:
         raise ValueError("matrix was built from a different graph")
     n = len(g.boundary)
-    if n > materialize_limit:
+    if n > MATERIALIZE_LIMIT:
         raise ValueError(
             f"boundary of size {n} exceeds the materialization limit "
-            f"{materialize_limit}; query the matrix per subset"
+            f"{MATERIALIZE_LIMIT}; query the matrix per subset"
         )
     if mode == "bipartite":
         k = matrix.k

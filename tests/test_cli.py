@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import kasteleyn as K
 from kasteleyn.cli import _common, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,6 +131,17 @@ class TestMeasure:
         )
         assert code == 3
 
+    def test_boundary_too_large_to_tabulate(self, capsys, tmp_path):
+        g, c = K.generate_random_disc_graph("general", 17, 0, seed=1)
+        path = tmp_path / "disc17.kg"
+        path.write_text(K.serialize(g, c))
+        code, out, err = run(capsys, "measure", str(path))
+        assert (code, out) == (3, "")
+        assert err == "validation error: boundary too large to tabulate; pass --subset\n"
+        u, v = g.sorted_edges[0]  # no internal vertices: one matching covers exactly u, v
+        code, out, _ = run(capsys, "measure", str(path), "--subset", f"{u},{v}")
+        assert (code, out) == (0, "1\n")
+
 
 class TestGrassmann:
     def test_fan_point(self, capsys):
@@ -226,6 +238,19 @@ class TestInputErrors:
         assert code == 3
         assert out == ""
         assert err == "validation error: max_retries must be nonnegative, not -1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["count"], ["matrix", "--theorem", "1"], ["measure"], ["grassmann"],
+         ["pfaffian-point"], ["oracle"], ["check"]],
+    )
+    def test_invalid_graph_is_one_validation_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "white_pair.kg"
+        path.write_text("vertex a black 0 0\nvertex b white 1 0\nvertex c white 2 0\n"
+                        "edge a b\nedge b c\n")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
 def _option_strings(parser) -> set:

@@ -15,10 +15,12 @@ import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
+from kasteleyn import graphs
 from kasteleyn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +65,27 @@ def test_cli_output_is_unchanged(fixture, monkeypatch):
     assert sorted(got) == sorted(want)
     changed = [variant for variant in got if got[variant] != want[variant]]
     assert not changed, f"{fixture}: output changed for {changed}"
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_each_run_validates_at_most_once(fixture, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    original, calls = graphs.validate, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("kasteleyn")]:
+        if getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counting)
+    for variant in VARIANTS:
+        for extra in ((), ("--json",)):
+            calls.clear()
+            argv = [variant[0], f"fixtures/{fixture}", *variant[1:], "--seed", "0", *extra]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+            assert len(calls) <= 1, f"{fixture} {' '.join(variant + extra)}: {len(calls)} calls"
 
 
 if __name__ == "__main__":

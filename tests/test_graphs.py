@@ -18,7 +18,7 @@ def four_cycle():
 
 class TestValidate:
     def test_balanced_cycle(self):
-        report = K.validate(four_cycle(), "bipartite")
+        report = K.validate(four_cycle())
         assert report.ok
         assert (report.n_internal, report.k, report.n_boundary) == (2, 0, 0)
 
@@ -26,7 +26,7 @@ class TestValidate:
         g = K.make_graph(
             ["w1", "w2"], {"w1": "white", "w2": "white"}, [("w1", "w2")]
         )
-        report = K.validate(g, "bipartite")
+        report = K.validate(g)
         assert not report.ok
         assert any("non-bipartite" in p for p in report.problems)
 
@@ -37,13 +37,16 @@ class TestValidate:
             [("b1", "w1"), ("b1", "w2")],
             boundary=["w1", "w2"],
         )
-        report = K.validate(g, "bipartite")
+        report = K.validate(g)
         assert report.ok
         assert (report.n_internal, report.k, report.n_boundary) == (0, 1, 2)
 
     def test_general_mode_rejects_colors(self):
-        report = K.validate(four_cycle(), "general")
-        assert not report.ok
+        g = four_cycle()
+        c = {"b1": (F(0), F(0)), "w1": (F(1), F(0)), "b2": (F(1), F(1)), "w2": (F(0), F(1))}
+        assert K.graph_kind(g) == K.validate(g).mode == "bipartite"
+        with pytest.raises(ValueError, match="needs a general graph, not a bipartite one"):
+            K.skew_kasteleyn_matrix(g, c)
 
     def test_boundary_must_be_white(self):
         g = K.make_graph(
@@ -52,12 +55,12 @@ class TestValidate:
             [("b1", "w1")],
             boundary=["b1"],
         )
-        report = K.validate(g, "bipartite")
+        report = K.validate(g)
         assert any("not white" in p for p in report.problems)
 
     def test_unknown_boundary_vertex(self):
         g = K.GraphWithBoundary(("a",), {"a": "plain"}, frozenset(), ("ghost",))
-        report = K.validate(g, "general")
+        report = K.validate(g)
         assert any("not a vertex" in p for p in report.problems)
 
 
@@ -142,14 +145,14 @@ class TestGenerators:
     @pytest.mark.parametrize("rows,cols,count", [(2, 2, 2), (2, 3, 3), (4, 4, 36)])
     def test_grid_counts(self, rows, cols, count):
         g, c = K.generate_grid(rows, cols)
-        assert K.validate(g, "bipartite").ok
+        assert K.validate(g).ok
         assert K.is_embedding(g, c)
         assert K.oracle_measurement(g) == count
 
     @pytest.mark.parametrize("order,count", [(1, 2), (2, 8), (3, 64)])
     def test_aztec_counts(self, order, count):
         g, c = K.generate_aztec(order)
-        assert K.validate(g, "bipartite").ok
+        assert K.validate(g).ok
         assert K.is_embedding(g, c)
         assert K.oracle_measurement(g) == count
 
@@ -163,7 +166,7 @@ class TestGenerators:
     def test_disc_generator_output_is_valid(self):
         for seed in range(6):
             g, c = K.generate_random_disc_graph("general", 5, n_internal=3, seed=seed)
-            assert K.validate(g, "general").ok
+            assert K.validate(g).ok
             assert K.is_disc_embedding(g, c)
             for m in K.enumerate_matchings(g):
                 assert K.boundary_of(m, g) <= set(g.boundary)
@@ -178,6 +181,13 @@ class TestGenerators:
         with pytest.raises(UnrealizableParameters):
             K.generate_random_disc_graph("bipartite", 2, n_internal=1, k=3, seed=0)
 
+    def test_empty_bipartite_graph_rejected(self):
+        from kasteleyn.fixtures import UnrealizableParameters
+
+        assert K.graph_kind(K.generate_random_disc_graph("general", 0, 0)[0]) == "general"
+        with pytest.raises(UnrealizableParameters, match="empty graph"):
+            K.generate_random_disc_graph("bipartite", 0, 0)
+
     @pytest.mark.parametrize("shape,seed", sorted(PINNED_DIGESTS))
     def test_generator_output_is_pinned(self, shape, seed):
         g, c = PINNED_SHAPES[shape](seed)
@@ -186,5 +196,5 @@ class TestGenerators:
 
     def test_triangulation_subgraph_is_planar(self):
         g, c = K.generate_triangulation_subgraph(9, seed=2)
-        assert K.validate(g, "general").ok
+        assert K.validate(g).ok
         assert K.is_embedding(g, c)

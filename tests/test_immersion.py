@@ -5,14 +5,7 @@ from random import Random
 import pytest
 
 import kasteleyn as K
-from kasteleyn.immersion import (
-    BIPARTITE_BOUNDARY,
-    BIPARTITE_CLOSED,
-    GENERAL_BOUNDARY,
-    GENERAL_CLOSED,
-    boundary_in_ccw_order,
-    edges_cross,
-)
+from kasteleyn.immersion import boundary_in_ccw_order, edges_cross
 
 F = Fraction
 
@@ -42,18 +35,15 @@ class TestPredicates:
         g = K.make_graph(["a", "b", "c"], {}, [("a", "b")])
         c = {"a": (F(0), F(0)), "b": (F(2), F(0)), "c": (F(1), F(0))}
         assert not K.is_immersion(g, c)
-        assert K.is_generic(g, c)  # a vertex on an edge is still generic
 
     def test_zero_length_edge(self):
         g = K.make_graph(["a", "b"], {}, [("a", "b")])
         c = {"a": (F(0), F(0)), "b": (F(0), F(0))}
         assert not K.is_immersion(g, c)
-        assert not K.is_generic(g, c)
 
     def test_crossing_is_immersion_not_embedding(self, bowtie):
         g, c = bowtie
         assert K.is_immersion(g, c)
-        assert K.is_generic(g, c)
         assert not K.is_embedding(g, c)
 
     def test_overlapping_edges_not_generic(self):
@@ -64,13 +54,7 @@ class TestPredicates:
             "c": (F(1), F(0)),
             "d": (F(3), F(0)),
         }
-        assert not K.is_generic(g, c)
         assert not K.is_immersion(g, c)
-
-    def test_coincident_vertices_not_generic(self):
-        g = K.make_graph(["a", "b", "c"], {}, [("a", "b")])
-        c = {"a": (F(0), F(0)), "b": (F(1), F(0)), "c": (F(1), F(0))}
-        assert not K.is_generic(g, c)
 
     def test_implication_chain(self):
         for seed in range(4):
@@ -78,7 +62,6 @@ class TestPredicates:
             assert K.is_disc_embedding(g, c)
             assert K.is_embedding(g, c)
             assert K.is_immersion(g, c)
-            assert K.is_generic(g, c)
 
 
 def _pairwise_embedding_rule(g, c):
@@ -157,7 +140,7 @@ class TestDiscEmbedding:
     def test_scaled_grid(self):
         g, c = K.generate_grid(3, 3)
         assert not K.is_disc_embedding(g, c)  # raw coordinates leave the disc
-        assert K.is_disc_embedding(g, K.scale_to_unit_disc(c))
+        assert K.is_disc_embedding(g, {v: (x / 4, y / 4) for v, (x, y) in c.items()})
 
     def test_internal_vertex_must_be_inside(self, fan):
         g, c = fan
@@ -286,16 +269,17 @@ class TestCanonicalStart:
             K.canonical_start(g, broken, seed=0)
 
 
-class TestDetectMode:
+class TestGraphKind:
     def test_modes(self, fan, boundary_cycle):
-        assert K.detect_mode(fan[0]) == BIPARTITE_BOUNDARY
-        assert K.detect_mode(boundary_cycle[0]) == GENERAL_BOUNDARY
+        assert K.graph_kind(fan[0]) == "bipartite"
+        assert K.graph_kind(boundary_cycle[0]) == "general"
         g, _ = square_cycle()
-        assert K.detect_mode(g) == BIPARTITE_CLOSED
+        assert K.graph_kind(g) == K.validate(g).mode == "bipartite"
         g, _ = K.generate_triangulation_subgraph(5, seed=0)
-        assert K.detect_mode(g) == GENERAL_CLOSED
+        assert K.graph_kind(g) == K.validate(g).mode == "general"
 
     def test_mixed_coloring_rejected(self):
         g = K.make_graph(["a", "b"], {"a": "black"}, [])
-        with pytest.raises(ValueError):
-            K.detect_mode(g)
+        for fn in (K.graph_kind, K.validate):
+            with pytest.raises(ValueError, match="mixes colored and uncolored"):
+                fn(g)

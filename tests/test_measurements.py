@@ -144,11 +144,23 @@ class TestMeasurementTable:
         for subset in combinations(g.boundary, m0.k):
             assert m1.measurement(subset) == lam * m0.measurement(subset)
 
-    def test_materialization_limit(self, fan):
-        g, c = fan
-        m = K.kasteleyn_matrix(g, c)
-        with pytest.raises(ValueError):
-            K.measurement_table(g, m, materialize_limit=2)
+    def test_materialization_limit(self):
+        g, c = K.generate_random_disc_graph("general", 17, 0, seed=1)
+        m = K.skew_kasteleyn_matrix(g, c)
+        with pytest.raises(ValueError, match="exceeds the materialization limit 16"):
+            K.measurement_table(g, m)
+
+
+class TestBuilderKind:
+    def test_kasteleyn_matrix_refuses_a_general_graph(self):
+        g, c = K.generate_triangulation_subgraph(6, seed=0)
+        with pytest.raises(ValueError, match="bipartite builder needs a bipartite graph"):
+            K.kasteleyn_matrix(g, c)
+
+    def test_skew_kasteleyn_matrix_refuses_a_bipartite_graph(self):
+        g, c = K.generate_grid(2, 3)
+        with pytest.raises(ValueError, match="general builder needs a general graph"):
+            K.skew_kasteleyn_matrix(g, c)
 
 
 class TestNonBoundarySubsets:
@@ -393,4 +405,4 @@ class TestBuilderAssembly:
             m = build(g, c, weights, seed=3)
             assert m.matrix == reference(g, m.assignment, weights)
             assert (m.graph, m.seed, m.weights) == (g, 3, weights)
-            assert m.n_internal == K.validate(g, kind).n_internal
+            assert m.n_internal == K.validate(g).n_internal
