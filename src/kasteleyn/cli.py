@@ -12,7 +12,7 @@ import sys
 from itertools import combinations
 
 from .graphfile import GraphFileError, parse
-from .graphs import graph_kind, validate
+from .graphs import bipartite_vertex_classes, graph_kind, validate
 from .identities import (
     check_kuo_bipartite,
     check_kuo_general,
@@ -27,6 +27,7 @@ from .measurements import (
     pfaffian_point,
     skew_kasteleyn_matrix,
     BaseCaseZero,
+    _checked_inputs,
 )
 from .oracle import oracle_measurement, signed_sum
 from .transport import RetriesExhausted
@@ -218,56 +219,58 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _applicable_checks(g, base: str, which: str) -> tuple[bool, bool]:
+    """(Kuo applies, Pluecker or Pfaffian applies), read from the graph alone.
+
+    Kuo needs four boundary vertices and, bipartite, k = 2 or, general, an
+    even internal count; Pluecker needs k = 2 and at least four boundary
+    vertices; the Pfaffian check applies to every general graph.
+    """
+    n_boundary = len(g.boundary)
+    if base == "bipartite":
+        blacks, whites = bipartite_vertex_classes(g)
+        k = len(blacks) - (len(whites) - n_boundary)
+        kuo = which in ("kuo-bipartite", "all") and k == 2 and n_boundary == 4
+        point_checks = which in ("plucker", "all") and k == 2 and n_boundary >= 4
+    else:
+        kuo = (
+            which in ("kuo-general", "all")
+            and n_boundary == 4
+            and len(g.internal_vertices) % 2 == 0
+        )
+        point_checks = which in ("pfaffian", "all")
+    return kuo, point_checks
+
+
 def cmd_check(args) -> int:
     g, config = _load(args.file)
     base = _graph_mode(g)
+    which = args.identity
+    kuo, point_checks = _applicable_checks(g, base, which)
+    if not (kuo or point_checks):
+        try:  # a bad graph or drawing is reported as a build would report it
+            _checked_inputs(g, base, config, None, require_embedded=True)
+        except ValueError as exc:
+            raise ValidationFailure(str(exc)) from exc
+        raise ValidationFailure(f"identity {which!r} is not applicable to this graph")
+    matrix = _build_matrix(g, config, args, base)
     reports = []
-    ran_any = False
-
-    def run_bipartite_checks(which: str):
-        nonlocal ran_any
-        matrix = _build_matrix(g, config, args, "bipartite")
-        if which in ("kuo-bipartite", "all") and matrix.k == 2 and len(g.boundary) == 4:
-            table = measurement_table(g, matrix)
-            reports.append(check_kuo_bipartite(table, *g.boundary))
-            ran_any = True
-        if which in ("plucker", "all") and matrix.k == 2 and len(g.boundary) >= 4:
+    try:
+        if kuo:
+            check_kuo = check_kuo_bipartite if base == "bipartite" else check_kuo_general
+            reports.append(check_kuo(measurement_table(g, matrix), *g.boundary))
+        if point_checks and base == "bipartite":
             point = grassmann_point(g, matrix)
             for quad in combinations(g.boundary, 4):
                 reports.append(check_plucker_three_term(point, quad))
-            ran_any = True
-
-    def run_general_checks(which: str):
-        nonlocal ran_any
-        matrix = _build_matrix(g, config, args, "general")
-        if (
-            which in ("kuo-general", "all")
-            and len(g.boundary) == 4
-            and matrix.n_internal % 2 == 0
-        ):
-            table = measurement_table(g, matrix)
-            reports.append(check_kuo_general(table, *g.boundary))
-            ran_any = True
-        if which in ("pfaffian", "all"):
+        elif point_checks:
             try:
                 point = pfaffian_point(g, matrix)
             except BaseCaseZero as exc:
                 raise ValidationFailure(str(exc)) from exc
             reports.append(check_pfaffian_consistency(matrix, point, seed=args.seed))
-            ran_any = True
-
-    which = args.identity
-    try:
-        if base == "bipartite" and which in ("kuo-bipartite", "plucker", "all"):
-            run_bipartite_checks(which)
-        if base == "general" and which in ("kuo-general", "pfaffian", "all"):
-            run_general_checks(which)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-    if not ran_any:
-        raise ValidationFailure(
-            f"identity {which!r} is not applicable to this graph"
-        )
     payload = [r.to_jsonable() for r in reports]
     lines = [
         f"{r.name}: {'HOLDS' if r.holds else 'FAILS'} lhs={r.lhs} rhs={r.rhs} {r.detail}"

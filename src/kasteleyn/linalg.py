@@ -3,9 +3,15 @@
 Determinants and the left-block reduction share one forward elimination
 that repairs a zero pivot by adding a later row.  Pfaffians and the skew
 block reduction share one skew elimination by unit congruences, pairing
-each row with the first later free column holding a nonzero entry.  Both
+each row with the first later free column holding a nonzero entry.  Each
+elimination updates only the columns where a pivot row is nonzero.  Both
 block reductions preserve the exact minor/Pfaffian-minor contracts they
 are named for and verify a sample of them before returning.
+
+The constructors check every matrix once.  Submatrices and principal
+blocks of a checked matrix are checked by construction (Fraction entries;
+any principal block of a skew matrix is skew), so they skip the checks,
+and a minor costs only its elimination.
 """
 
 from __future__ import annotations
@@ -56,10 +62,15 @@ class RatMatrix:
         return self.entries[i][j]
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
-        return RatMatrix(
-            tuple(tuple(self.entries[i][j] for j in cols) for i in rows),
-            tuple(self.row_labels[i] for i in rows),
-            tuple(self.col_labels[j] for j in cols),
+        """The listed rows and columns, in order; repeats and negatives index as usual.
+
+        Its entries are this matrix's checked ones, so the checks are skipped.
+        """
+        return _prechecked(
+            RatMatrix,
+            entries=tuple(tuple(self.entries[i][j] for j in cols) for i in rows),
+            row_labels=tuple(self.row_labels[i] for i in rows),
+            col_labels=tuple(self.col_labels[j] for j in cols),
         )
 
     def to_jsonable(self) -> dict:
@@ -68,6 +79,17 @@ class RatMatrix:
             "cols": list(self.col_labels),
             "entries": [[str(x) for x in row] for row in self.entries],
         }
+
+
+def _prechecked(cls, **fields):
+    """A frozen matrix built from fields already known to pass its checks.
+
+    Skips __post_init__; only for parts cut from a checked matrix.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def matrix(entries: Iterable[Iterable], row_labels=None, col_labels=None) -> RatMatrix:
@@ -109,8 +131,12 @@ class SkewMatrix:
         return self.matrix[pos]
 
     def principal(self, keep: Sequence[int]) -> "SkewMatrix":
+        """The block on the kept indices, sorted; repeats and negatives index as usual.
+
+        Any principal block of a skew matrix is skew, so the check is skipped.
+        """
         idx = sorted(keep)
-        return SkewMatrix(self.matrix.submatrix(idx, idx))
+        return _prechecked(SkewMatrix, matrix=self.matrix.submatrix(idx, idx))
 
     def to_jsonable(self) -> dict:
         return self.matrix.to_jsonable()
@@ -222,7 +248,9 @@ def _skew_eliminate(x: SkewMatrix, n_leading: int) -> tuple[Fraction, list, list
     The first free row i pairs with the first free j where work[i][j] != 0;
     moving j next to i passes pos free indices, hence the sign (-1)^pos.
     Rows without a pivot go to rest.  For every subset I of the trailing
-    indices, Pf(x on leading + I) = scale * Pf(work on rest + I).
+    indices, Pf(x on leading + I) = scale * Pf(work on rest + I).  Each
+    pivot (i, j) adds multiples of row j over its nonzero live columns and
+    of row i over its own; columns zero on both rows stay as they are.
     """
     work = [list(row) for row in x.matrix.entries]
     trailing = range(n_leading, x.dimension)
@@ -243,12 +271,18 @@ def _skew_eliminate(x: SkewMatrix, n_leading: int) -> tuple[Fraction, list, list
         pivot = row_i[j]
         scale *= -pivot if pos % 2 else pivot
         live = free + list(trailing)  # rest rows and columns are zero on i, j
+        support_i = [(c, row_i[c]) for c in live if row_i[c]]
+        support_j = [(c, row_j[c]) for c in live if row_j[c]]
         for r in live:
             row_r = work[r]
-            a, b = row_r[i] / pivot, row_r[j] / pivot
-            if a or b:
-                for c in live:
-                    row_r[c] += a * row_j[c] - b * row_i[c]
+            if row_r[i]:
+                a = row_r[i] / pivot
+                for c, v in support_j:
+                    row_r[c] += a * v
+            if row_r[j]:
+                b = row_r[j] / pivot
+                for c, v in support_i:
+                    row_r[c] -= b * v
     return scale, rest, work
 
 
@@ -261,12 +295,17 @@ def pfaffian(x: SkewMatrix) -> Fraction:
 
 
 def pfaffian_minor(x: SkewMatrix, keep: Iterable[int]) -> Fraction:
-    """Pfaffian of the principal submatrix on the kept indices (ascending)."""
+    """Pfaffian of the principal submatrix on the kept indices (ascending).
+
+    An odd number of kept indices gives 0 without building the block.
+    """
     idx = sorted(keep)
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate indices")
     if idx and (idx[0] < 0 or idx[-1] >= x.dimension):
         raise ValueError("index out of range")
+    if len(idx) % 2:
+        return Fraction(0)
     return pfaffian(x.principal(idx))
 
 

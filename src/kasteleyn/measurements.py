@@ -152,11 +152,11 @@ class SkewKasteleynMatrix(_SignedMatrix):
         ]
 
 
-def _signed_entries(g, kind, target, weights, seed, max_retries, require_embedded):
-    """Validate, check the target, transport; map each edge to sign * weight.
+def _checked_inputs(g, kind, target, weights, require_embedded):
+    """The builders' checks before transport: graph, weights, target.
 
-    A graph of the other kind raises ValueError.  Also returns the
-    `_SignedMatrix` fields that follow `matrix`.
+    A graph of the other kind or any failed check raises ValueError.
+    Returns the validation report and the checked weights.
     """
     report = validate(g)
     if report.mode != kind:
@@ -165,6 +165,15 @@ def _signed_entries(g, kind, target, weights, seed, max_retries, require_embedde
         raise ValueError(f"invalid {kind} graph: " + "; ".join(report.problems))
     weights = checked_weights(g.edges, weights)
     _check_target(g, target, require_embedded)
+    return report, weights
+
+
+def _signed_entries(g, kind, target, weights, seed, max_retries, require_embedded):
+    """Check the inputs, transport; map each edge to sign * weight.
+
+    Also returns the `_SignedMatrix` fields that follow `matrix`.
+    """
+    report, weights = _checked_inputs(g, kind, target, weights, require_embedded)
     assignment = compute_signed_structure(g, target, seed, max_retries)
     entries = {e: assignment.sign(e) * g.weight_of(e, weights) for e in g.sorted_edges}
     return entries, (g, report.n_internal, weights, seed, assignment)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kasteleyn as K
+from kasteleyn import measurements
 from kasteleyn.cli import _common, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,6 +214,35 @@ class TestCheck:
         assert code == 0
         reports = json.loads(out)
         assert all(r["holds"] for r in reports)
+
+
+class TestCheckRefusesBeforeTransport:
+    @pytest.fixture
+    def transports(self, monkeypatch):
+        original, calls = measurements.compute_signed_structure, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measurements, "compute_signed_structure", counting)
+        return calls
+
+    def test_inapplicable_identity_runs_no_transport(self, capsys, transports):
+        code, out, err = run(capsys, "check", fixture("grid4x4"))
+        assert (code, out) == (3, "")
+        assert err == "validation error: identity 'all' is not applicable to this graph\n"
+        assert transports == []
+
+    def test_a_bad_drawing_is_still_reported_first(self, capsys, transports):
+        code, out, err = run(capsys, "check", fixture("bowtie"))
+        assert (code, out, err) == (3, "", "validation error: target is not an embedding\n")
+        assert transports == []
+
+    def test_applicable_identity_runs_one_transport(self, capsys, transports):
+        code, _, _ = run(capsys, "check", fixture("c4boundary"))
+        assert code == 0
+        assert len(transports) == 1
 
 
 class TestInputErrors:
