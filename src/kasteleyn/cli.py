@@ -1,6 +1,11 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 degeneracy
+`main` is the one front end: it loads the graph file, reads the graph's
+kind once and hands both to the subcommand, and it alone turns exceptions
+into exit codes.  Exit codes: 0 success, 2 parse error, 3 validation error
+(every refusal in `REFUSALS`: the graph, the drawing, a table over
+`MATERIALIZE_LIMIT` boundary vertices, the oracle's vertex cap, a
+degenerate drawing under `--signed`, no Pfaffian point), 4 degeneracy
 (transport retries exhausted), 5 identity failure.
 """
 
@@ -19,6 +24,7 @@ from .identities import (
     check_pfaffian_consistency,
     check_plucker_three_term,
 )
+from .immersion import DegenerateDrawing
 from .measurements import (
     MATERIALIZE_LIMIT,
     grassmann_point,
@@ -29,7 +35,7 @@ from .measurements import (
     BaseCaseZero,
     _checked_inputs,
 )
-from .oracle import oracle_measurement, signed_sum
+from .oracle import EnumerationCapExceeded, oracle_measurement, signed_sum
 from .transport import RetriesExhausted
 
 EXIT_OK = 0
@@ -38,13 +44,8 @@ EXIT_VALIDATION = 3
 EXIT_DEGENERACY = 4
 EXIT_IDENTITY = 5
 
-
-class ValidationFailure(Exception):
-    pass
-
-
-class IdentityFailure(Exception):
-    pass
+# The library's refusals of an input; each exits 3 with its message.
+REFUSALS = (ValueError, BaseCaseZero, DegenerateDrawing, EnumerationCapExceeded)
 
 
 def _load(path: str):
@@ -56,17 +57,9 @@ def _load(path: str):
     return parse(text)
 
 
-def _graph_mode(g) -> str:
-    """The graph's kind, for the subcommand guards; a mixed coloring exits 3."""
-    try:
-        return graph_kind(g)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
-
-
 def _refuse_large_table(g) -> None:
     if len(g.boundary) > MATERIALIZE_LIMIT:
-        raise ValidationFailure("boundary too large to tabulate; pass --subset")
+        raise ValueError("boundary too large to tabulate; pass --subset")
 
 
 def _weights(g, args):
@@ -75,10 +68,7 @@ def _weights(g, args):
 
 def _build_matrix(g, config, args, base_mode: str):
     build = kasteleyn_matrix if base_mode == "bipartite" else skew_kasteleyn_matrix
-    try:
-        return build(g, config, _weights(g, args), seed=args.seed, max_retries=args.max_retries)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    return build(g, config, _weights(g, args), seed=args.seed, max_retries=args.max_retries)
 
 
 def _emit(args, jsonable, text_lines) -> None:
@@ -93,33 +83,29 @@ def _parse_subset(g, raw: str) -> frozenset:
     ids = [s for s in raw.split(",") if s]
     stray = [s for s in ids if s not in g.boundary_set]
     if stray:
-        raise ValidationFailure(f"not boundary vertices: {','.join(stray)}")
+        raise ValueError(f"not boundary vertices: {','.join(stray)}")
     return frozenset(ids)
 
 
-def cmd_count(args) -> int:
-    g, config = _load(args.file)
-    base = _graph_mode(g)
+def cmd_count(args, g, config, kind) -> int:
     if g.boundary:
-        raise ValidationFailure("count needs a closed graph; use measure instead")
-    matrix = _build_matrix(g, config, args, base)
+        raise ValueError("count needs a closed graph; use measure instead")
+    matrix = _build_matrix(g, config, args, kind)
     value = matrix.measurement(())
     _emit(args, {"count": str(value)}, [str(value)])
     return EXIT_OK
 
 
-def cmd_matrix(args) -> int:
-    g, config = _load(args.file)
-    base = _graph_mode(g)
+def cmd_matrix(args, g, config, kind) -> int:
     want_bipartite = args.theorem in (1, 2)
-    if want_bipartite != (base == "bipartite"):
-        raise ValidationFailure(
+    if want_bipartite != (kind == "bipartite"):
+        raise ValueError(
             f"variant {args.theorem} needs a "
             f"{'bipartite' if want_bipartite else 'general'} graph"
         )
     if args.theorem in (1, 4) and g.boundary:
-        raise ValidationFailure(f"variant {args.theorem} needs an empty boundary")
-    matrix = _build_matrix(g, config, args, base)
+        raise ValueError(f"variant {args.theorem} needs an empty boundary")
+    matrix = _build_matrix(g, config, args, kind)
     payload = matrix.to_jsonable()
     if args.trace:
         payload["events"] = [ev.to_jsonable() for ev in matrix.assignment.events]
@@ -132,12 +118,10 @@ def cmd_matrix(args) -> int:
     return EXIT_OK
 
 
-def cmd_measure(args) -> int:
-    g, config = _load(args.file)
-    base = _graph_mode(g)
+def cmd_measure(args, g, config, kind) -> int:
     if args.subset is None:
         _refuse_large_table(g)
-    matrix = _build_matrix(g, config, args, base)
+    matrix = _build_matrix(g, config, args, kind)
     if args.subset is not None:
         subset = _parse_subset(g, args.subset)
         value = matrix.measurement(subset)
@@ -152,12 +136,10 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def cmd_grassmann(args) -> int:
-    g, config = _load(args.file)
-    base = _graph_mode(g)
-    if base != "bipartite":
-        raise ValidationFailure("grassmann needs a bipartite graph")
-    matrix = _build_matrix(g, config, args, base)
+def cmd_grassmann(args, g, config, kind) -> int:
+    if kind != "bipartite":
+        raise ValueError("grassmann needs a bipartite graph")
+    matrix = _build_matrix(g, config, args, kind)
     point = grassmann_point(g, matrix)
     payload = point.to_jsonable()
     lines = [f"k={point.k} n={point.n}"]
@@ -170,16 +152,11 @@ def cmd_grassmann(args) -> int:
     return EXIT_OK
 
 
-def cmd_pfaffian_point(args) -> int:
-    g, config = _load(args.file)
-    base = _graph_mode(g)
-    if base != "general":
-        raise ValidationFailure("pfaffian-point needs a general graph")
-    matrix = _build_matrix(g, config, args, base)
-    try:
-        point = pfaffian_point(g, matrix)
-    except BaseCaseZero as exc:
-        raise ValidationFailure(str(exc)) from exc
+def cmd_pfaffian_point(args, g, config, kind) -> int:
+    if kind != "general":
+        raise ValueError("pfaffian-point needs a general graph")
+    matrix = _build_matrix(g, config, args, kind)
+    point = pfaffian_point(g, matrix)
     payload = point.to_jsonable()
     lines = [f"base: {point.base}"]
     lines += [" ".join(row) for row in payload["matrix"]["entries"]]
@@ -187,12 +164,10 @@ def cmd_pfaffian_point(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    g, config = _load(args.file)
-    _graph_mode(g)
+def cmd_oracle(args, g, config, kind) -> int:
     report = validate(g)
     if not report.ok:
-        raise ValidationFailure("; ".join(report.problems))
+        raise ValueError("; ".join(report.problems))
     weights = _weights(g, args)
     fn = (lambda s: signed_sum(g, config, s, weights)) if args.signed else (
         lambda s: oracle_measurement(g, s, weights)
@@ -242,43 +217,35 @@ def _applicable_checks(g, base: str, which: str) -> tuple[bool, bool]:
     return kuo, point_checks
 
 
-def cmd_check(args) -> int:
-    g, config = _load(args.file)
-    base = _graph_mode(g)
+def cmd_check(args, g, config, kind) -> int:
     which = args.identity
-    kuo, point_checks = _applicable_checks(g, base, which)
+    kuo, point_checks = _applicable_checks(g, kind, which)
     if not (kuo or point_checks):
-        try:  # a bad graph or drawing is reported as a build would report it
-            _checked_inputs(g, base, config, None, require_embedded=True)
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
-        raise ValidationFailure(f"identity {which!r} is not applicable to this graph")
-    matrix = _build_matrix(g, config, args, base)
+        # a bad graph or drawing is reported as a build would report it
+        _checked_inputs(g, kind, config, None, require_embedded=True)
+        raise ValueError(f"identity {which!r} is not applicable to this graph")
+    matrix = _build_matrix(g, config, args, kind)
     reports = []
-    try:
-        if kuo:
-            check_kuo = check_kuo_bipartite if base == "bipartite" else check_kuo_general
-            reports.append(check_kuo(measurement_table(g, matrix), *g.boundary))
-        if point_checks and base == "bipartite":
-            point = grassmann_point(g, matrix)
-            for quad in combinations(g.boundary, 4):
-                reports.append(check_plucker_three_term(point, quad))
-        elif point_checks:
-            try:
-                point = pfaffian_point(g, matrix)
-            except BaseCaseZero as exc:
-                raise ValidationFailure(str(exc)) from exc
-            reports.append(check_pfaffian_consistency(matrix, point, seed=args.seed))
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    if kuo:
+        check_kuo = check_kuo_bipartite if kind == "bipartite" else check_kuo_general
+        reports.append(check_kuo(measurement_table(g, matrix), *g.boundary))
+    if point_checks and kind == "bipartite":
+        point = grassmann_point(g, matrix)
+        for quad in combinations(g.boundary, 4):
+            reports.append(check_plucker_three_term(point, quad))
+    elif point_checks:
+        point = pfaffian_point(g, matrix)
+        reports.append(check_pfaffian_consistency(matrix, point, seed=args.seed))
     payload = [r.to_jsonable() for r in reports]
     lines = [
         f"{r.name}: {'HOLDS' if r.holds else 'FAILS'} lhs={r.lhs} rhs={r.rhs} {r.detail}"
         for r in reports
     ]
     _emit(args, payload, lines)
-    if any(not r.holds for r in reports):
-        raise IdentityFailure(f"{sum(not r.holds for r in reports)} identities failed")
+    failed = sum(not r.holds for r in reports)
+    if failed:
+        print(f"identity failure: {failed} identities failed", file=sys.stderr)
+        return EXIT_IDENTITY
     return EXIT_OK
 
 
@@ -287,7 +254,8 @@ def _common(subparser) -> None:
     subparser.add_argument("--json", action="store_true", help="machine-readable output")
     subparser.add_argument("--seed", type=int, default=0, help="transport seed")
     subparser.add_argument(
-        "--max-retries", type=int, default=32, help="perturbed path retries"
+        "--max-retries", type=int, default=32,
+        help="retried paths after the direct one (0: direct path only)",
     )
 
 
@@ -298,13 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", help="total matching count of a closed graph")
-    _common(p)
-    p.add_argument("--weights", action="store_true", help="use edge weights from the file")
-    p.set_defaults(fn=cmd_count)
+    def command(name, fn, help, weights=True):
+        p = sub.add_parser(name, help=help)
+        _common(p)
+        if weights:
+            p.add_argument("--weights", action="store_true", help="use edge weights from the file")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("matrix", help="signed matrix for one theorem variant")
-    _common(p)
+    command("count", cmd_count, "total matching count of a closed graph")
+    p = command("matrix", cmd_matrix, "signed matrix for one theorem variant")
     p.add_argument(
         "--theorem",
         type=int,
@@ -314,62 +285,37 @@ def build_parser() -> argparse.ArgumentParser:
         "4: skew closed, 5: skew with boundary",
     )
     p.add_argument("--trace", action="store_true", help="include the event log")
-    p.add_argument("--weights", action="store_true")
-    p.set_defaults(fn=cmd_matrix)
-
-    p = sub.add_parser("measure", help="boundary measurements")
-    _common(p)
-    group = p.add_mutually_exclusive_group()
+    group = command("measure", cmd_measure, "boundary measurements").add_mutually_exclusive_group()
     group.add_argument("--subset", help="comma-separated boundary ids")
     group.add_argument("--all", action="store_true", help="full table (default)")
-    p.add_argument("--weights", action="store_true")
-    p.set_defaults(fn=cmd_measure)
-
-    p = sub.add_parser("grassmann", help="boundary matrix and its maximal minors")
-    _common(p)
-    p.add_argument("--weights", action="store_true")
-    p.set_defaults(fn=cmd_grassmann)
-
-    p = sub.add_parser("pfaffian-point", help="boundary skew matrix and base count")
-    _common(p)
-    p.add_argument("--weights", action="store_true")
-    p.set_defaults(fn=cmd_pfaffian_point)
-
-    p = sub.add_parser("oracle", help="brute-force measurements")
-    _common(p)
+    command("grassmann", cmd_grassmann, "boundary matrix and its maximal minors")
+    command("pfaffian-point", cmd_pfaffian_point, "boundary skew matrix and base count")
+    p = command("oracle", cmd_oracle, "brute-force measurements")
     p.add_argument("--subset", help="comma-separated boundary ids")
     p.add_argument("--signed", action="store_true", help="crossing-signed sums")
-    p.add_argument("--weights", action="store_true")
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("check", help="verify measurement identities")
-    _common(p)
+    p = command("check", cmd_check, "verify measurement identities", weights=False)
     p.add_argument(
         "--identity",
         choices=("kuo-bipartite", "kuo-general", "plucker", "pfaffian", "all"),
         default="all",
     )
-    p.set_defaults(fn=cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        g, config = _load(args.file)
+        return args.fn(args, g, config, graph_kind(g))
     except GraphFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValidationFailure as exc:
+    except REFUSALS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RetriesExhausted as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except IdentityFailure as exc:
-        print(f"identity failure: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
 
 
 def run() -> None:

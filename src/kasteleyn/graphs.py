@@ -60,9 +60,6 @@ class GraphWithBoundary:
         idx = self.vertex_index
         return tuple(sorted(self.edges, key=lambda e: (idx[e[0]], idx[e[1]])))
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self.edges
-
     def weight_of(self, e: Edge, weights: Mapping | None = None) -> Fraction:
         """Weight of an edge under the given table; None means unweighted."""
         if weights is None:

@@ -341,19 +341,6 @@ class GrassmannPoint:
         }
 
 
-def grassmann_point_from_matrix(L: linalg.RatMatrix) -> GrassmannPoint:
-    """Wrap an explicit boundary matrix, computing its maximal minors."""
-    k, n = L.shape
-    plucker = tuple(
-        (
-            tuple(L.col_labels[j] for j in subset),
-            linalg.minor(L, list(range(k)), list(subset)),
-        )
-        for subset in colex_subsets(n, k)
-    )
-    return GrassmannPoint(L, tuple(L.col_labels), k, plucker)
-
-
 def grassmann_point(g: GraphWithBoundary, K: KasteleynMatrix) -> GrassmannPoint:
     """Boundary matrix whose maximal minors are the boundary measurements.
 

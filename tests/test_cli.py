@@ -283,6 +283,44 @@ class TestInputErrors:
         assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
+class TestExitPaths:
+    """Each refusal the library raises ends in its exit code and one line."""
+
+    def test_oracle_vertex_cap_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "grid5x5.kg"
+        path.write_text(K.serialize(*K.generate_grid(5, 5)))
+        code, out, err = run(capsys, "oracle", str(path))
+        assert (code, out) == (3, "")
+        assert err == "validation error: 25 vertices exceed the cap of 24\n"
+
+    def test_signed_oracle_on_a_touching_drawing_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "touching.kg"
+        path.write_text("vertex a plain 0 0\nvertex b plain 2 0\nvertex c plain 1 0\n"
+                        "vertex d plain 1 1\nedge a b\nedge c d\n")
+        code, out, err = run(capsys, "oracle", str(path), "--signed")
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+
+    def test_exhausted_retries_are_a_degeneracy(self, capsys, tmp_path):
+        # blacks swap places on y = 1, so only a bent (retried) path avoids a collision
+        path = tmp_path / "colliding.kg"
+        path.write_text("vertex b1 black 10 1\nvertex b2 black 0 1\nvertex w1 white 10 0\n"
+                        "vertex w2 white 0 0\nedge b1 w1\nedge b2 w2\nedge b1 w2\n")
+        code, out, err = run(capsys, "count", str(path), "--max-retries", "0")
+        assert (code, out) == (4, "")
+        assert err.startswith("degeneracy: no usable path after 1 attempts: ")
+        assert err.count("\n") == 1
+        assert run(capsys, "count", str(path)) == (0, "1\n", "")
+
+    def test_failed_identity_prints_its_report_and_exits_5(self, capsys, monkeypatch):
+        failing = K.IdentityReport("kuo-general", False, 1, 2, "forced")
+        monkeypatch.setattr("kasteleyn.cli.check_kuo_general", lambda *args: failing)
+        code, out, err = run(capsys, "check", fixture("c4boundary"), "--identity", "kuo-general")
+        assert code == 5
+        assert out == "kuo-general: FAILS lhs=1 rhs=2 forced\n"
+        assert err == "identity failure: 1 identities failed\n"
+
+
 def _option_strings(parser) -> set:
     return {flag for action in parser._actions for flag in action.option_strings}
 

@@ -3,9 +3,23 @@ from fractions import Fraction
 import pytest
 
 import kasteleyn as K
-from kasteleyn.measurements import MeasurementTable, grassmann_point_from_matrix
+from kasteleyn import linalg
+from kasteleyn.measurements import GrassmannPoint, MeasurementTable, colex_subsets
 
 F = Fraction
+
+
+def grassmann_point_from_matrix(L: linalg.RatMatrix) -> GrassmannPoint:
+    """Wrap an explicit boundary matrix, computing its maximal minors."""
+    k, n = L.shape
+    plucker = tuple(
+        (
+            tuple(L.col_labels[j] for j in subset),
+            linalg.minor(L, list(range(k)), list(subset)),
+        )
+        for subset in colex_subsets(n, k)
+    )
+    return GrassmannPoint(L, tuple(L.col_labels), k, plucker)
 
 
 def perturbed(table: MeasurementTable, subset, delta=F(1)) -> MeasurementTable:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import kasteleyn as K
-from kasteleyn.graphs import bipartite_vertex_classes
+from kasteleyn.graphs import bipartite_vertex_classes, edge_key
 
 from conftest import random_weights
 
@@ -39,7 +39,7 @@ class TestKasteleynMatrix:
         for i, b in enumerate(blacks):
             for j, w in enumerate(whites):
                 entry = m.matrix[i, j]
-                if g.has_edge(b, w):
+                if edge_key(b, w) in g.edges:
                     assert entry in (1, -1)
                 else:
                     assert entry == 0
