@@ -1,11 +1,14 @@
 """Exact plane geometry over the rationals and single quadratic extensions.
 
-Coordinates are pairs of `fractions.Fraction` and every predicate returns
-an exact sign.  An event time (a root of the collinearity polynomial of a
-moving vertex/edge pair) is a value a + b*sqrt(d) with an exact sign, and
-rational quadratics are evaluated at it in closed form, without rounding.
-There is no float fallback anywhere: degeneracies must surface as typed
-outcomes, not tolerances.
+Coordinates are exact rationals (`int` or `fractions.Fraction`) and every
+predicate returns an exact sign.  Nothing here re-checks a value: a drawing
+with a float coordinate is refused once, by `immersion`, before any
+predicate sees it.  An event time (a root of the collinearity polynomial of
+a moving vertex/edge pair) is a value a + b*sqrt(d), made canonical once,
+where `roots_in_open_unit_interval` creates it; rational quadratics are
+evaluated at it in closed form, without rounding, and only the sign of the
+result is read.  There is no float fallback anywhere: degeneracies must
+surface as typed outcomes, not tolerances.
 """
 
 from __future__ import annotations
@@ -63,24 +66,13 @@ def point_on_segment(p: Point, a: Point, b: Point) -> str | None:
     return "interior"
 
 
-def collinear_overlap(s1: Segment, s2: Segment) -> int:
-    """Sign of the length shared by two collinear segments, s1 of positive length.
-
-    Positive: overlap in a segment; zero: touch at one point; negative: apart.
-    """
-    (p, q), (r, s) = s1, s2
-    axis = 0 if p[0] != q[0] else 1
-    a1, b1 = sorted((p[axis], q[axis]))
-    a2, b2 = sorted((r[axis], s[axis]))
-    return sign_of(min(b1, b2) - max(a1, a2))
-
-
 def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
     """Exact classification of how two positive-length segments meet.
 
-    DEGENERATE covers collinear overlap and an endpoint of one segment in
-    the interior of the other; these are the cases downstream sign logic
-    must never silently count.
+    DEGENERATE covers an endpoint of one segment in the interior of the
+    other, which includes every collinear overlap but one: two copies of
+    the same segment.  These are the cases downstream sign logic must
+    never silently count.
     """
     (p, q), (r, s) = s1, s2
     if p == q or r == s:
@@ -93,17 +85,10 @@ def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
         if o1 != o2 and o3 != o4:
             return SegmentRelation.TRANSVERSAL_CROSS
         return SegmentRelation.DISJOINT
-    if o1 == 0 and o2 == 0:
-        overlap = collinear_overlap(s1, s2)
-        if overlap > 0:
-            return SegmentRelation.DEGENERATE
-        if overlap == 0:
-            return SegmentRelation.SHARED_ENDPOINT_ONLY
-        return SegmentRelation.DISJOINT
     touches = [
         point_on_segment(pt, *seg) for pt, seg in ((r, s1), (s, s1), (p, s2), (q, s2))
     ]
-    if "interior" in touches:
+    if "interior" in touches or {p, q} == {r, s}:
         return SegmentRelation.DEGENERATE
     if "endpoint" in touches:
         return SegmentRelation.SHARED_ENDPOINT_ONLY
@@ -125,40 +110,19 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 class QuadNum:
     """The real number a + b*sqrt(d), d >= 0 rational, with an exact sign.
 
-    Canonical form: b = 0 and d = 0 whenever the value is rational (in
-    particular when d is a perfect square).  It is a value, not a number
-    type: polynomials are evaluated at it by `QuadPoly.at`.
+    A plain value: nothing is checked or normalised on construction.  The
+    roots that `roots_in_open_unit_interval` returns are canonical: b = 0
+    and d = 0 when the root is rational, and otherwise d is not a rational
+    square.  That fixes their `str` and every digest built from it.
+    Values from `QuadPoly.at` are only asked for their sign.
     """
 
     a: Fraction
     b: Fraction = Fraction(0)
     d: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        a, b, d = _frac(self.a), _frac(self.b), _frac(self.d)
-        if d < 0:
-            raise ValueError("negative discriminant")
-        if b == 0 or d == 0:
-            b, d = Fraction(0), Fraction(0)
-        else:
-            root = _rational_sqrt(d)
-            if root is not None:
-                a, b, d = a + b * root, Fraction(0), Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def sign(self) -> int:
-        if self.b == 0:
+        if self.b == 0 or self.d == 0:
             return sign_of(self.a)
         if self.a == 0:
             return sign_of(self.b)
@@ -184,11 +148,6 @@ class QuadPoly:
     c2: Fraction
     c1: Fraction
     c0: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "c2", _frac(self.c2))
-        object.__setattr__(self, "c1", _frac(self.c1))
-        object.__setattr__(self, "c0", _frac(self.c0))
 
     @property
     def is_zero(self) -> bool:
@@ -229,7 +188,12 @@ def roots_in_open_unit_interval(p: QuadPoly) -> list[tuple[QuadNum, int]]:
         elif disc > 0:
             centre = Fraction(-p.c1, 2 * p.c2)
             spread = Fraction(1, 2 * abs(p.c2))  # positive: the lower root comes first
-            found.extend([(QuadNum(centre, -spread, disc), 1), (QuadNum(centre, spread, disc), 1)])
+            root = _rational_sqrt(disc)
+            if root is None:
+                lo, hi = QuadNum(centre, -spread, disc), QuadNum(centre, spread, disc)
+            else:
+                lo, hi = QuadNum(centre - spread * root), QuadNum(centre + spread * root)
+            found.extend([(lo, 1), (hi, 1)])
     return [
         (r, m) for (r, m) in found if r.sign() > 0 and QuadNum(r.a - 1, r.b, r.d).sign() < 0
     ]

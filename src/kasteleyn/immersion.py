@@ -20,6 +20,7 @@ from .geometry import (
     inside_unit_circle,
     on_unit_circle,
     orient,
+    point,
     point_on_segment,
     segment_relation,
     unit_circle_param,
@@ -47,9 +48,17 @@ class PathPlan:
 
 
 def _check_total(g: GraphWithBoundary, c: Configuration) -> None:
+    """Every vertex has a position, and no coordinate is a float.
+
+    This is the one exactness check of a drawing: every drawing predicate,
+    `canonical_start` and each waypoint of `transport_signs` pass through
+    it, and the geometry they call trusts its inputs from then on.
+    """
     missing = [v for v in g.vertices if v not in c]
     if missing:
         raise ValueError(f"configuration misses vertices {missing}")
+    for v in g.vertices:
+        point(*c[v])  # refuses a float coordinate with a TypeError
 
 
 def _segment(c: Configuration, e) -> tuple[Point, Point]:
@@ -176,6 +185,7 @@ def canonical_start(
     equals the inversion count of its determinant term (resp. the crossing
     parity of its Pfaffian term), so signs may start at +1 everywhere.
     """
+    _check_total(g, target)
     bipartite = graph_kind(g) == "bipartite"
     rng = Random(f"start:{seed}")
     config: Configuration = {}

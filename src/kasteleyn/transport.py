@@ -27,7 +27,7 @@ from .geometry import (
     roots_in_open_unit_interval,
 )
 from .graphs import GraphWithBoundary
-from .immersion import Configuration, PathPlan, canonical_start
+from .immersion import Configuration, PathPlan, _check_total, canonical_start
 
 
 class DegeneratePath(Exception):
@@ -167,8 +167,11 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
     raise DegeneratePath.  Every waypoint is checked once for a vertex on a
     non-incident edge: at the first or last waypoint that is a ValueError
     (the path endpoints must be immersions), at an interior one a
-    DegeneratePath.
+    DegeneratePath.  Before that, a waypoint that misses a vertex is a
+    ValueError and one with a float coordinate a TypeError.
     """
+    for w in path.waypoints:
+        _check_total(g, w)
     signs = {e: 1 for e in g.sorted_edges}
     events: list[EventRecord] = []
     # A path without motion is one still segment, so its drawing is checked too.

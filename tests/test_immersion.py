@@ -5,7 +5,8 @@ from random import Random
 import pytest
 
 import kasteleyn as K
-from kasteleyn.immersion import boundary_in_ccw_order, edges_cross
+from kasteleyn import measurements
+from kasteleyn.immersion import PathPlan, boundary_in_ccw_order, edges_cross
 
 F = Fraction
 
@@ -267,6 +268,48 @@ class TestCanonicalStart:
         broken["a"] = (F(1, 2), F(0))
         with pytest.raises(ValueError):
             K.canonical_start(g, broken, seed=0)
+
+
+def float_grid():
+    g, c = K.generate_grid(2, 2)
+    return g, {v: (float(x), float(y)) for v, (x, y) in c.items()}
+
+
+FLOAT_REFUSAL = "float coordinate 0.0; supply int, str or Fraction"
+
+
+class TestExactnessDoor:
+    """A float coordinate is refused once per drawing, before any geometry."""
+
+    def test_drawing_predicates(self):
+        g, c = float_grid()
+        for predicate in (K.is_immersion, K.is_embedding, K.is_disc_embedding):
+            with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+                predicate(g, c)
+
+    def test_transport_checks_each_waypoint(self):
+        g, c = float_grid()
+        with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+            K.transport_signs(g, PathPlan((c, c), frozenset()))
+        exact = K.generate_grid(2, 2)[1]
+        with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+            K.transport_signs(g, PathPlan((exact, c), frozenset()))
+
+    def test_canonical_start_checks_the_target(self, fan):
+        g, c = fan
+        broken = dict(c, a=(1.0, 0.0))
+        with pytest.raises(TypeError, match="float coordinate 1.0"):
+            K.canonical_start(g, broken)
+
+    def test_matrix_refuses_before_transport(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            measurements, "compute_signed_structure", lambda *args: calls.append(args)
+        )
+        g, c = float_grid()
+        with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+            K.kasteleyn_matrix(g, c)
+        assert calls == []
 
 
 class TestGraphKind:

@@ -11,6 +11,7 @@ ran Horner's rule by arithmetic in the quadratic field.
 import pytest
 
 import kasteleyn as K
+from test_geometry import is_rational_square
 from test_transport import colliding_fixture
 
 PINS = {
@@ -42,3 +43,15 @@ def test_digest_and_attempts_are_pinned(name):
     g, c = make()
     result = K.compute_signed_structure(g, c, seed=0)
     assert (result.digest(), result.attempts) == (digest, attempts)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_event_times_are_canonical(name):
+    # An event time is rational (b = d = 0) or a + b*sqrt(d) with d not a
+    # rational square: the form its string, and so the digest, depends on.
+    g, c = PINS[name][0]()
+    events = K.compute_signed_structure(g, c, seed=0).events
+    assert events
+    for ev in events:
+        assert (ev.t.b == 0) == (ev.t.d == 0), ev
+        assert ev.t.d == 0 or not is_rational_square(ev.t.d), ev

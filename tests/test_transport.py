@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import kasteleyn as K
+from kasteleyn.geometry import QuadNum
 from kasteleyn.immersion import PathPlan
 from kasteleyn.transport import DegeneratePath
 
@@ -34,7 +35,7 @@ class TestTransportSigns:
         assert len(result.events) == 1
         event = result.events[0]
         assert event.vertex == "v" and event.edge == ("a", "b")
-        assert event.t.as_fraction() == F(1, 2)
+        assert event.t == QuadNum(F(1, 2))
         assert event.transversal
 
     def test_out_and_back_restores_the_sign(self):
