@@ -1,7 +1,8 @@
 """Command-line surface.
 
 `main` is the one front end: it loads the graph file, reads the graph's
-kind once and hands both to the subcommand, and it alone turns exceptions
+kind once and hands both to the subcommand, with the file's weights only
+under `--weights`, and it alone turns exceptions
 into exit codes.  Exit codes: 0 success, 2 parse error, 3 validation error
 (every refusal in `REFUSALS`: the graph, the drawing, a table over
 `MATERIALIZE_LIMIT` boundary vertices, the oracle's vertex cap, a
@@ -62,13 +63,9 @@ def _refuse_large_table(g) -> None:
         raise ValueError("boundary too large to tabulate; pass --subset")
 
 
-def _weights(g, args):
-    return g.weights if getattr(args, "weights", False) else None
-
-
-def _build_matrix(g, config, args, base_mode: str):
+def _build_matrix(g, config, weights, args, base_mode: str):
     build = kasteleyn_matrix if base_mode == "bipartite" else skew_kasteleyn_matrix
-    return build(g, config, _weights(g, args), seed=args.seed, max_retries=args.max_retries)
+    return build(g, config, weights, seed=args.seed, max_retries=args.max_retries)
 
 
 def _emit(args, jsonable, text_lines) -> None:
@@ -87,16 +84,16 @@ def _parse_subset(g, raw: str) -> frozenset:
     return frozenset(ids)
 
 
-def cmd_count(args, g, config, kind) -> int:
+def cmd_count(args, g, config, kind, weights) -> int:
     if g.boundary:
         raise ValueError("count needs a closed graph; use measure instead")
-    matrix = _build_matrix(g, config, args, kind)
+    matrix = _build_matrix(g, config, weights, args, kind)
     value = matrix.measurement(())
     _emit(args, {"count": str(value)}, [str(value)])
     return EXIT_OK
 
 
-def cmd_matrix(args, g, config, kind) -> int:
+def cmd_matrix(args, g, config, kind, weights) -> int:
     want_bipartite = args.theorem in (1, 2)
     if want_bipartite != (kind == "bipartite"):
         raise ValueError(
@@ -105,7 +102,7 @@ def cmd_matrix(args, g, config, kind) -> int:
         )
     if args.theorem in (1, 4) and g.boundary:
         raise ValueError(f"variant {args.theorem} needs an empty boundary")
-    matrix = _build_matrix(g, config, args, kind)
+    matrix = _build_matrix(g, config, weights, args, kind)
     payload = matrix.to_jsonable()
     if args.trace:
         payload["events"] = [ev.to_jsonable() for ev in matrix.assignment.events]
@@ -118,10 +115,10 @@ def cmd_matrix(args, g, config, kind) -> int:
     return EXIT_OK
 
 
-def cmd_measure(args, g, config, kind) -> int:
+def cmd_measure(args, g, config, kind, weights) -> int:
     if args.subset is None:
         _refuse_large_table(g)
-    matrix = _build_matrix(g, config, args, kind)
+    matrix = _build_matrix(g, config, weights, args, kind)
     if args.subset is not None:
         subset = _parse_subset(g, args.subset)
         value = matrix.measurement(subset)
@@ -136,10 +133,10 @@ def cmd_measure(args, g, config, kind) -> int:
     return EXIT_OK
 
 
-def cmd_grassmann(args, g, config, kind) -> int:
+def cmd_grassmann(args, g, config, kind, weights) -> int:
     if kind != "bipartite":
         raise ValueError("grassmann needs a bipartite graph")
-    matrix = _build_matrix(g, config, args, kind)
+    matrix = _build_matrix(g, config, weights, args, kind)
     point = grassmann_point(g, matrix)
     payload = point.to_jsonable()
     lines = [f"k={point.k} n={point.n}"]
@@ -152,10 +149,10 @@ def cmd_grassmann(args, g, config, kind) -> int:
     return EXIT_OK
 
 
-def cmd_pfaffian_point(args, g, config, kind) -> int:
+def cmd_pfaffian_point(args, g, config, kind, weights) -> int:
     if kind != "general":
         raise ValueError("pfaffian-point needs a general graph")
-    matrix = _build_matrix(g, config, args, kind)
+    matrix = _build_matrix(g, config, weights, args, kind)
     point = pfaffian_point(g, matrix)
     payload = point.to_jsonable()
     lines = [f"base: {point.base}"]
@@ -164,11 +161,10 @@ def cmd_pfaffian_point(args, g, config, kind) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args, g, config, kind) -> int:
+def cmd_oracle(args, g, config, kind, weights) -> int:
     report = validate(g)
     if not report.ok:
         raise ValueError("; ".join(report.problems))
-    weights = _weights(g, args)
     fn = (lambda s: signed_sum(g, config, s, weights)) if args.signed else (
         lambda s: oracle_measurement(g, s, weights)
     )
@@ -217,14 +213,14 @@ def _applicable_checks(g, base: str, which: str) -> tuple[bool, bool]:
     return kuo, point_checks
 
 
-def cmd_check(args, g, config, kind) -> int:
+def cmd_check(args, g, config, kind, weights) -> int:
     which = args.identity
     kuo, point_checks = _applicable_checks(g, kind, which)
     if not (kuo or point_checks):
         # a bad graph or drawing is reported as a build would report it
         _checked_inputs(g, kind, config, None, require_embedded=True)
         raise ValueError(f"identity {which!r} is not applicable to this graph")
-    matrix = _build_matrix(g, config, args, kind)
+    matrix = _build_matrix(g, config, weights, args, kind)
     reports = []
     if kuo:
         check_kuo = check_kuo_bipartite if kind == "bipartite" else check_kuo_general
@@ -305,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        g, config = _load(args.file)
-        return args.fn(args, g, config, graph_kind(g))
+        g, config, weights = _load(args.file)
+        weights = weights if getattr(args, "weights", False) else None
+        return args.fn(args, g, config, graph_kind(g), weights)
     except GraphFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

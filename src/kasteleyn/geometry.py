@@ -216,33 +216,25 @@ def _motion_differences(v_start, v_end, a_start, a_end, b_start, b_end):
     )
 
 
-def motion_collinearity_poly(
-    v_start: Point, v_end: Point,
-    a_start: Point, a_end: Point,
-    b_start: Point, b_end: Point,
-) -> QuadPoly:
+def motion_collinearity_poly(bx, by, vx, vy) -> QuadPoly:
     """Signed area of (v(t), a(t), b(t)) under linear interpolation.
 
+    Takes the four (value at 0, slope) pairs of `_motion_differences`.
     Roots in (0, 1) are the candidate times at which the vertex path v(t)
     meets the line through the moving edge (a(t), b(t)).
     """
-    bx, by, vx, vy = _motion_differences(v_start, v_end, a_start, a_end, b_start, b_end)
     t2a, t1a, t0a = _lin_mul(*bx, *vy)
     t2b, t1b, t0b = _lin_mul(*by, *vx)
     return QuadPoly(t2a - t2b, t1a - t1b, t0a - t0b)
 
 
-def motion_betweenness_polys(
-    v_start: Point, v_end: Point,
-    a_start: Point, a_end: Point,
-    b_start: Point, b_end: Point,
-) -> tuple[QuadPoly, QuadPoly, QuadPoly]:
+def motion_betweenness_polys(bx, by, vx, vy) -> tuple[QuadPoly, QuadPoly, QuadPoly]:
     """Quadratics (v-a).(b-a), (v-b).(a-b) and |b-a|^2 along the motion.
 
-    At a collinearity root both dot products strictly positive means the
+    Takes the four (value at 0, slope) pairs of `_motion_differences`.  At
+    a collinearity root both dot products strictly positive means the
     vertex sits strictly between the edge endpoints.
     """
-    bx, by, vx, vy = _motion_differences(v_start, v_end, a_start, a_end, b_start, b_end)
 
     def add3(u, v):
         return QuadPoly(u[0] + v[0], u[1] + v[1], u[2] + v[2])

@@ -7,7 +7,9 @@ Grammar (one record per line, `#` starts a comment, blank lines ignored):
     boundary <id> <id> ...        # at most once, counterclockwise order
 
 Coordinates and weights are integers or fractions `p/q`; decimal literals
-are rejected so nothing is silently rounded.
+are rejected so nothing is silently rounded.  The weights are not part of
+the graph: `parse` returns them beside the graph and its drawing, and a
+count uses them only when they are passed as its `weights` argument.
 """
 
 from __future__ import annotations
@@ -51,8 +53,12 @@ def _number(line_no: int, col: int, token: str, what: str) -> Fraction:
     return Fraction(token)
 
 
-def parse(text: str) -> tuple[GraphWithBoundary, Configuration]:
-    """Parse a graph file into a graph plus its drawing."""
+def parse(text: str) -> tuple[GraphWithBoundary, Configuration, dict | None]:
+    """Parse a graph file into (graph, drawing, weights).
+
+    weights maps each canonical edge that carries a weight to it as a
+    Fraction, and is None when no edge line carries one.
+    """
     vertices: list[str] = []
     colors: dict[str, str] = {}
     config: Configuration = {}
@@ -119,12 +125,14 @@ def parse(text: str) -> tuple[GraphWithBoundary, Configuration]:
             raise GraphFileError(
                 line_no, col0, f"unknown directive {keyword!r}"
             )
-    g = make_graph(vertices, colors, edges, boundary or (), weights or None)
-    return g, config
+    return make_graph(vertices, colors, edges, boundary or ()), config, weights or None
 
 
-def serialize(g: GraphWithBoundary, c: Configuration) -> str:
-    """Canonical text form; parse(serialize(g, c)) reproduces (g, c)."""
+def serialize(g: GraphWithBoundary, c: Configuration, weights: dict | None = None) -> str:
+    """Canonical text form; parse(serialize(g, c, w)) reproduces (g, c, w).
+
+    weights is a table keyed by canonical edge, as `parse` returns it.
+    """
     lines = []
     for v in g.vertices:
         x, y = c[v]
@@ -133,8 +141,8 @@ def serialize(g: GraphWithBoundary, c: Configuration) -> str:
         lines.append("boundary " + " ".join(g.boundary))
     for e in g.sorted_edges:
         u, v = e
-        if g.weights is not None and e in g.weights:
-            lines.append(f"edge {u} {v} {g.weights[e]}")
+        if weights and e in weights:
+            lines.append(f"edge {u} {v} {weights[e]}")
         else:
             lines.append(f"edge {u} {v}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ vertices it covers.  All values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -32,7 +32,6 @@ class GraphWithBoundary:
     color: Mapping[str, str]
     edges: frozenset
     boundary: tuple[str, ...] = ()
-    weights: Mapping | None = None
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:
@@ -60,25 +59,19 @@ class GraphWithBoundary:
         idx = self.vertex_index
         return tuple(sorted(self.edges, key=lambda e: (idx[e[0]], idx[e[1]])))
 
-    def weight_of(self, e: Edge, weights: Mapping | None = None) -> Fraction:
-        """Weight of an edge under the given table; None means unweighted."""
-        if weights is None:
-            return Fraction(1)
-        return Fraction(weights.get(edge_key(*e), 1))
-
 
 def make_graph(
     vertices: Iterable[str],
     color: Mapping[str, str] | None = None,
     edges: Iterable[tuple[str, str]] = (),
     boundary: Iterable[str] = (),
-    weights: Mapping | None = None,
 ) -> GraphWithBoundary:
     """Construct a graph; structural problems raise, hypothesis checks don't.
 
-    Edges referencing unknown vertices and bad weights (see
-    `checked_weights`) are rejected here; everything the counting
-    theorems need (coloring discipline, boundary membership, no
+    A graph is structure only: edge weights are an argument of each
+    count (see `checked_weights`).  Duplicate vertices and edges
+    referencing unknown vertices are rejected here; everything the
+    counting theorems need (coloring discipline, boundary membership, no
     self-loops) is reported by `validate`, which raises ValueError on a
     graph that mixes colored and uncolored vertices.
     """
@@ -98,9 +91,7 @@ def make_graph(
         if u not in vset or v not in vset:
             raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
         eset.add(edge_key(u, v))
-    return GraphWithBoundary(
-        vs, colors, frozenset(eset), tuple(boundary), checked_weights(eset, weights)
-    )
+    return GraphWithBoundary(vs, colors, frozenset(eset), tuple(boundary))
 
 
 def checked_weights(edges, weights: Mapping | None) -> dict | None:
@@ -222,7 +213,12 @@ def boundary_of(m: Matching, g: GraphWithBoundary) -> frozenset:
 
 
 def matching_weight(g: GraphWithBoundary, m: Matching, weights: Mapping | None = None) -> Fraction:
+    """Product of the edge weights of m under a `checked_weights` table.
+
+    None means unweighted; edges missing from the table weigh 1.
+    """
     total = Fraction(1)
-    for e in m:
-        total *= g.weight_of(e, weights)
+    if weights:
+        for e in m:
+            total *= weights.get(edge_key(*e), 1)
     return total

@@ -175,7 +175,8 @@ def _signed_entries(g, kind, target, weights, seed, max_retries, require_embedde
     """
     report, weights = _checked_inputs(g, kind, target, weights, require_embedded)
     assignment = compute_signed_structure(g, target, seed, max_retries)
-    entries = {e: assignment.sign(e) * g.weight_of(e, weights) for e in g.sorted_edges}
+    table = weights or {}
+    entries = {e: assignment.sign(e) * table.get(e, Fraction(1)) for e in g.sorted_edges}
     return entries, (g, report.n_internal, weights, seed, assignment)
 
 

@@ -1,9 +1,11 @@
 """Brute-force ground truth: enumerate matchings and signed sums.
 
-The enumerator recurses on the lowest-indexed uncovered internal vertex
-(which every matching must cover) and then on the uncovered boundary
-vertices (which may stay uncovered).  It is deliberately simple; it
-referees the matrix pipeline and must stay independent of it.
+The enumerator walks the internal vertices, then the admissible boundary
+vertices, and branches on the first one not yet taken: it is matched to
+each free neighbour or, if it is a boundary vertex of a free trace, left
+uncovered, and it is taken either way, so no matching is built twice.
+It is deliberately simple; it referees the matrix pipeline and must stay
+independent of it.
 """
 
 from __future__ import annotations
@@ -28,74 +30,49 @@ def enumerate_matchings(
 ) -> list[Matching]:
     """All matchings, optionally restricted to a fixed boundary trace.
 
-    Returns a duplicate-free list in a deterministic order.  When
-    boundary_subset is given only matchings covering exactly that set of
-    boundary vertices are produced.
+    Each matching is built once; the list is sorted by each matching's
+    sorted edges.  When boundary_subset is given only matchings covering
+    exactly that set of boundary vertices are produced.
     """
     if len(g.vertices) > max_vertices:
         raise EnumerationCapExceeded(
             f"{len(g.vertices)} vertices exceed the cap of {max_vertices}"
         )
+    taken: set = set()
     required: frozenset | None = None
     if boundary_subset is not None:
         required = frozenset(boundary_subset)
         stray = required - g.boundary_set
         if stray:
             raise ValueError(f"subset contains non-boundary vertices {sorted(stray)}")
-    internal = list(g.internal_vertices)
-    boundary = [
-        b for b in g.boundary if required is None or b in required
-    ]
+        taken.update(g.boundary_set - required)
+    order = list(g.internal_vertices) + [b for b in g.boundary if b not in taken]
+    may_skip = g.boundary_set if required is None else frozenset()
     results: list[Matching] = []
-    covered: set = set()
     chosen: list = []
 
-    def allowed(u: str) -> bool:
-        if u in covered:
-            return False
-        if required is not None and u in g.boundary_set and u not in required:
-            return False
-        return True
-
-    def extend_boundary(idx: int) -> None:
-        while idx < len(boundary) and boundary[idx] in covered:
+    def extend(idx: int) -> None:
+        while idx < len(order) and order[idx] in taken:
             idx += 1
-        if idx == len(boundary):
+        if idx == len(order):
             results.append(frozenset(chosen))
             return
-        v = boundary[idx]
-        if required is None:
-            extend_boundary(idx + 1)  # leave v uncovered
+        v = order[idx]
+        taken.add(v)
+        if v in may_skip:
+            extend(idx + 1)  # leave v uncovered
         for u in g.adjacency[v]:
-            # Internal vertices are all covered by now, so any available
-            # partner here is a boundary vertex.
-            if u == v or not allowed(u):
+            if u in taken:  # a self-loop's u == v is taken too
                 continue
-            covered.update((u, v))
+            taken.add(u)
             chosen.append(edge_key(u, v))
-            extend_boundary(idx + 1)
+            extend(idx + 1)
             chosen.pop()
-            covered.difference_update((u, v))
+            taken.discard(u)
+        taken.discard(v)
 
-    def extend_internal(idx: int) -> None:
-        while idx < len(internal) and internal[idx] in covered:
-            idx += 1
-        if idx == len(internal):
-            extend_boundary(0)
-            return
-        v = internal[idx]
-        for u in g.adjacency[v]:
-            if u == v or not allowed(u):
-                continue
-            covered.update((u, v))
-            chosen.append(edge_key(u, v))
-            extend_internal(idx + 1)
-            chosen.pop()
-            covered.difference_update((u, v))
-
-    extend_internal(0)
-    unique = sorted(set(results), key=lambda m: sorted(m))
-    return unique
+    extend(0)
+    return sorted(results, key=sorted)
 
 
 def oracle_measurement(

@@ -21,6 +21,7 @@ from random import Random
 
 from .geometry import (
     QuadNum,
+    _motion_differences,
     motion_betweenness_polys,
     motion_collinearity_poly,
     point_on_segment,
@@ -197,8 +198,8 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
                         )
                 if v not in moving and a not in moving and b not in moving:
                     continue
-                args = (w0[v], w1[v], w0[a], w1[a], w0[b], w1[b])
-                f = motion_collinearity_poly(*args)
+                diffs = _motion_differences(w0[v], w1[v], w0[a], w1[a], w0[b], w1[b])
+                f = motion_collinearity_poly(*diffs)
                 if f.is_zero:
                     raise DegeneratePath(
                         f"vertex {v!r} stays collinear with edge {e} on segment {si}"
@@ -206,7 +207,7 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
                 roots = roots_in_open_unit_interval(f)
                 if not roots:
                     continue
-                dot_va, dot_vb, len2 = motion_betweenness_polys(*args)
+                dot_va, dot_vb, len2 = motion_betweenness_polys(*diffs)
                 for t0, mult in roots:
                     if len2.at(t0).sign() == 0:
                         raise DegeneratePath(

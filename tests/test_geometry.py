@@ -8,6 +8,7 @@ from kasteleyn.geometry import (
     QuadNum,
     QuadPoly,
     SegmentRelation,
+    _motion_differences,
     motion_betweenness_polys,
     motion_collinearity_poly,
     on_unit_circle,
@@ -282,27 +283,27 @@ class TestAtClosedForm:
 
 class TestMotionPolys:
     def test_static_noncollinear_is_constant(self):
-        p = motion_collinearity_poly(
+        p = motion_collinearity_poly(*_motion_differences(
             pt(0, 0), pt(0, 0), pt(1, 0), pt(1, 0), pt(0, 1), pt(0, 1)
-        )
+        ))
         assert p.c2 == 0 and p.c1 == 0 and p.c0 != 0
 
     def test_vertex_sweeping_static_edge(self):
-        p = motion_collinearity_poly(
+        p = motion_collinearity_poly(*_motion_differences(
             pt(0, -1), pt(0, 1), pt(-1, 0), pt(-1, 0), pt(1, 0), pt(1, 0)
-        )
+        ))
         roots = roots_in_open_unit_interval(p)
         assert roots == [(QuadNum(F(1, 2)), 1)]
 
     def test_static_on_line_is_identically_zero(self):
-        p = motion_collinearity_poly(
+        p = motion_collinearity_poly(*_motion_differences(
             pt(2, 0), pt(3, 0), pt(0, 0), pt(0, 0), pt(1, 0), pt(1, 0)
-        )
+        ))
         assert p.is_zero
 
     def test_betweenness_split(self):
-        args = (pt(0, -1), pt(0, 1), pt(-1, 0), pt(-1, 0), pt(1, 0), pt(1, 0))
-        dot_va, dot_vb, len2 = motion_betweenness_polys(*args)
+        diffs = _motion_differences(pt(0, -1), pt(0, 1), pt(-1, 0), pt(-1, 0), pt(1, 0), pt(1, 0))
+        dot_va, dot_vb, len2 = motion_betweenness_polys(*diffs)
         half = QuadNum(F(1, 2))
         assert dot_va.at(half).sign() == 1
         assert dot_vb.at(half).sign() == 1

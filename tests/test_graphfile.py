@@ -13,27 +13,28 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 class TestParse:
     def test_minimal_file(self):
-        g, c = K.parse(
+        g, c, w = K.parse(
             "vertex a black 0 0\nvertex b white 1 0\nedge a b\n"
         )
         assert g.vertices == ("a", "b")
         assert g.edges == {("a", "b")}
         assert c["b"] == (F(1), F(0))
-        assert g.weights is None
+        assert w is None
 
     def test_fraction_weight(self):
-        g, _ = K.parse(
+        g, _, w = K.parse(
             "vertex a plain 0 0\nvertex b plain 1 0\nedge a b 3/2\n"
         )
-        assert g.weights == {("a", "b"): F(3, 2)}
+        assert w == {("a", "b"): F(3, 2)}
+        assert K.make_graph(["a", "b"], {}, [("a", "b")]) == g
 
     def test_comments_and_blank_lines(self):
         text = "# heading\n\nvertex a plain 0 0  # trailing comment\n"
-        g, _ = K.parse(text)
+        g, _, _ = K.parse(text)
         assert g.vertices == ("a",)
 
     def test_boundary_order_is_kept(self):
-        g, _ = K.parse(
+        g, _, _ = K.parse(
             "vertex a plain 1 0\nvertex b plain 0 1\nboundary b a\n"
         )
         assert g.boundary == ("b", "a")
@@ -100,18 +101,20 @@ class TestParse:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "name",
-        ["single_edge", "grid2x3", "fan", "c4boundary", "bowtie", "triangle"],
-    )
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.kg")))
     def test_fixture_files_round_trip(self, name):
         text = (FIXTURES / f"{name}.kg").read_text()
-        g, c = K.parse(text)
-        assert K.serialize(g, c) == text
-        g2, c2 = K.parse(K.serialize(g, c))
-        assert (g2, c2) == (g, c)
+        parsed = K.parse(text)
+        assert K.serialize(*parsed) == text
+        assert K.parse(K.serialize(*parsed)) == parsed
 
     def test_generated_graph_round_trips(self):
         g, c = K.generate_random_disc_graph("bipartite", 4, n_internal=2, k=1, seed=3)
-        g2, c2 = K.parse(K.serialize(g, c))
-        assert g2 == g and c2 == c
+        assert K.parse(K.serialize(g, c)) == (g, c, None)
+
+    def test_weights_round_trip(self):
+        g, c = K.generate_grid(2, 3)
+        w = {("g0x0", "g0x1"): F(2), ("g1x1", "g1x2"): F(3, 2)}
+        assert K.parse(K.serialize(g, c, w)) == (g, c, w)
+        assert K.serialize(g, c, w) == (FIXTURES / "grid2x3_weighted.kg").read_text()
+        assert K.serialize(g, c) == (FIXTURES / "grid2x3.kg").read_text()

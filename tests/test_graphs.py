@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import kasteleyn as K
+from kasteleyn.graphs import checked_weights
 
 F = Fraction
 
@@ -108,19 +109,17 @@ class TestConstruction:
             K.make_graph(["a"], {}, [("a", "zz")])
 
     def test_nonpositive_weight_rejected(self):
+        g = K.make_graph(["a", "b"], {}, [("a", "b")])
         with pytest.raises(ValueError):
-            K.make_graph(["a", "b"], {}, [("a", "b")], weights={("a", "b"): 0})
+            checked_weights(g.edges, {("a", "b"): 0})
 
     def test_weight_lookup(self):
-        g = K.make_graph(
-            ["a", "b", "c"], {}, [("a", "b"), ("b", "c")],
-            weights={("a", "b"): F(3, 2)},
-        )
+        g = K.make_graph(["a", "b", "c"], {}, [("a", "b"), ("b", "c")])
+        w = checked_weights(g.edges, {("b", "a"): F(3, 2)})
         # no table means unweighted; entries missing from a table count as 1
-        assert g.weight_of(("a", "b")) == 1
-        assert g.weight_of(("a", "b"), g.weights) == F(3, 2)
-        assert g.weight_of(("b", "c"), g.weights) == 1
-        assert K.matching_weight(g, frozenset({("a", "b")}), g.weights) == F(3, 2)
+        assert K.matching_weight(g, frozenset({("a", "b")})) == 1
+        assert K.matching_weight(g, frozenset({("a", "b")}), w) == F(3, 2)
+        assert K.matching_weight(g, frozenset({("b", "c")}), w) == 1
 
 
 PINNED_SHAPES = {

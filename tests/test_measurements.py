@@ -352,7 +352,7 @@ def _reference_bipartite(g, assignment, weights):
         row = [Fraction(0)] * len(whites)
         for u in g.adjacency[b]:
             e = K.edge_key(b, u)
-            row[wcol[u]] = assignment.sign(e) * g.weight_of(e, weights)
+            row[wcol[u]] = assignment.sign(e) * Fraction((weights or {}).get(e, 1))
         rows.append(tuple(row))
     return K.RatMatrix(tuple(rows), tuple(blacks), tuple(whites))
 
@@ -368,7 +368,7 @@ def _reference_skew(g, assignment, weights):
         i, j = pos[u], pos[v]
         if i > j:
             i, j = j, i
-        value = assignment.sign(e) * g.weight_of(e, weights)
+        value = assignment.sign(e) * Fraction((weights or {}).get(e, 1))
         rows[i][j] = value
         rows[j][i] = -value
     return K.skew(rows, tuple(order))

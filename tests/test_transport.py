@@ -6,6 +6,7 @@ import pytest
 import kasteleyn as K
 from kasteleyn.geometry import QuadNum
 from kasteleyn.immersion import PathPlan
+from kasteleyn import transport
 from kasteleyn.transport import DegeneratePath
 
 F = Fraction
@@ -230,6 +231,22 @@ class TestComputeSignedStructure:
                 for subset in combinations(g.boundary, size):
                     expected = K.signed_sum(g, c, subset)
                     assert m.measurement(subset) == expected
+
+    def test_motion_differences_once_per_pair_test(self, monkeypatch):
+        calls = {"differences": 0, "pair_tests": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for name, key in (("_motion_differences", "differences"),
+                          ("motion_collinearity_poly", "pair_tests")):
+            monkeypatch.setattr(transport, name, counted(key, getattr(transport, name)))
+        g, c = K.generate_grid(6, 6)
+        assert K.compute_signed_structure(g, c).digest() == "5e1424dc1e300fa4"
+        assert calls == {"differences": 2040, "pair_tests": 2040}
 
 
 class TestSerialization:

@@ -1,8 +1,8 @@
 """Every weights table passes one check: exact, positive and on edges only.
 
-`make_graph` and the `weights` argument of the matrix builders and the
-oracle share `graphs.checked_weights`, so each rejected case is tried on
-every entry point.
+Weights live only in a call's `weights` argument: the matrix builders and
+the oracle share `graphs.checked_weights`, so each rejected case is tried
+on every entry point, and a graph carries no weights of its own.
 """
 
 from fractions import Fraction
@@ -23,13 +23,7 @@ def grid(colored: bool = True):
     return g, c
 
 
-def rebuild(w):
-    g, _ = grid()
-    return K.make_graph(g.vertices, g.color, g.edges, weights=w)
-
-
 ENTRY_POINTS = {
-    "make_graph": rebuild,
     "kasteleyn_matrix": lambda w: K.kasteleyn_matrix(*grid(), w),
     "skew_kasteleyn_matrix": lambda w: K.skew_kasteleyn_matrix(*grid(colored=False), w),
     "oracle_measurement": lambda w: K.oracle_measurement(grid()[0], weights=w),
@@ -61,4 +55,11 @@ def test_exact_forms_and_either_key_order_agree():
     want = K.kasteleyn_matrix(g, c, {EDGE: F(3, 2)}).matrix
     for w in ({EDGE: "3/2"}, {EDGE[::-1]: F(3, 2)}):
         assert K.kasteleyn_matrix(g, c, w).matrix == want
-    assert K.make_graph(g.vertices, g.color, g.edges, weights={EDGE: 2}).weights == {EDGE: 2}
+    assert K.kasteleyn_matrix(g, c, {EDGE: 3}).measurement(()) == 4
+
+
+def test_a_graph_takes_no_weights():
+    g, _ = grid()
+    with pytest.raises(TypeError):
+        K.make_graph(g.vertices, g.color, g.edges, weights={EDGE: 3})
+    assert not hasattr(g, "weights") and not hasattr(g, "weight_of")
