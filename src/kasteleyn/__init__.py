@@ -33,12 +33,12 @@ from .fixtures import (
     generate_triangulation_subgraph,
 )
 from .immersion import (
-    PathPlan,
     canonical_start,
     crossing_number,
     is_disc_embedding,
     is_embedding,
     is_immersion,
+    keeps_disc_rule,
     matching_sign,
 )
 from .transport import (

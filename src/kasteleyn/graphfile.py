@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .graphs import COLORS, GraphWithBoundary, edge_key, make_graph
+from .graphs import COLORS, GraphWithBoundary, checked_weights, edge_key, make_graph
 from .immersion import Configuration
 
 _NUMBER = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -131,8 +131,10 @@ def parse(text: str) -> tuple[GraphWithBoundary, Configuration, dict | None]:
 def serialize(g: GraphWithBoundary, c: Configuration, weights: dict | None = None) -> str:
     """Canonical text form; parse(serialize(g, c, w)) reproduces (g, c, w).
 
-    weights is a table keyed by canonical edge, as `parse` returns it.
+    weights goes through `checked_weights`, so either key order of an edge
+    is written and a float, nonpositive or non-edge entry raises ValueError.
     """
+    weights = checked_weights(g.edges, weights)
     lines = []
     for v in g.vertices:
         x, y = c[v]

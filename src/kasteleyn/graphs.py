@@ -212,7 +212,7 @@ def boundary_of(m: Matching, g: GraphWithBoundary) -> frozenset:
     return frozenset(covered & g.boundary_set)
 
 
-def matching_weight(g: GraphWithBoundary, m: Matching, weights: Mapping | None = None) -> Fraction:
+def matching_weight(m: Matching, weights: Mapping | None = None) -> Fraction:
     """Product of the edge weights of m under a `checked_weights` table.
 
     None means unweighted; edges missing from the table weigh 1.

@@ -9,7 +9,6 @@ circle in its circular order with everything else strictly inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -33,18 +32,6 @@ Configuration = dict  # vertex id -> Point
 
 class DegenerateDrawing(Exception):
     """A crossing count was requested for overlapping or touching edges."""
-
-
-@dataclass(frozen=True)
-class PathPlan:
-    """Piecewise-linear deformation: waypoint configurations, pinned ids."""
-
-    waypoints: tuple
-    pinned: frozenset
-
-    @property
-    def segments(self) -> int:
-        return len(self.waypoints) - 1
 
 
 def _check_total(g: GraphWithBoundary, c: Configuration) -> None:
@@ -104,28 +91,22 @@ def is_embedding(g: GraphWithBoundary, c: Configuration) -> bool:
     return True
 
 
-def boundary_in_ccw_order(g: GraphWithBoundary, c: Configuration) -> bool:
-    """Boundary images on the unit circle in the declared circular order."""
-    if not g.boundary:
-        return True
-    for b in g.boundary:
-        if not on_unit_circle(c[b]):
+def keeps_disc_rule(g: GraphWithBoundary, c: Configuration) -> bool:
+    """Boundary on the unit circle in its declared order, the rest strictly inside."""
+    _check_total(g, c)
+    if not all(on_unit_circle(c[b]) for b in g.boundary):
+        return False
+    if g.boundary:
+        ccw = sorted(g.boundary, key=lambda b: circle_sort_key(c[b]))
+        start = ccw.index(g.boundary[0])
+        if tuple(ccw[start:] + ccw[:start]) != g.boundary:
             return False
-    ccw = sorted(g.boundary, key=lambda b: circle_sort_key(c[b]))
-    start = ccw.index(g.boundary[0])
-    rotated = ccw[start:] + ccw[:start]
-    return tuple(rotated) == g.boundary
+    return all(inside_unit_circle(c[v]) for v in g.internal_vertices)
 
 
 def is_disc_embedding(g: GraphWithBoundary, c: Configuration) -> bool:
-    """Embedding with the boundary on the unit circle, in order, rest inside."""
-    _check_total(g, c)
-    if not boundary_in_ccw_order(g, c):
-        return False
-    for v in g.internal_vertices:
-        if not inside_unit_circle(c[v]):
-            return False
-    return is_embedding(g, c)
+    """Embedding that keeps the disc rule (`keeps_disc_rule`)."""
+    return keeps_disc_rule(g, c) and is_embedding(g, c)
 
 
 def crossing_number(g: GraphWithBoundary, c: Configuration, m: Matching) -> int:
@@ -181,9 +162,11 @@ def canonical_start(
     target circle positions and the free vertices go on the arc between
     the last and first boundary vertex so that the counterclockwise order
     reads: internal whites, boundary, blacks reversed (bipartite), or
-    internal vertices then boundary (general).  At such a drawing the crossing count of every matching
-    equals the inversion count of its determinant term (resp. the crossing
-    parity of its Pfaffian term), so signs may start at +1 everywhere.
+    internal vertices then boundary (general).  At such a drawing the
+    crossing count of every matching equals the inversion count of its
+    determinant term (resp. the crossing parity of its Pfaffian term), so
+    signs may start at +1 everywhere.  With a boundary that holds only for
+    a target that keeps the disc rule (embedded or not), else ValueError.
     """
     _check_total(g, target)
     bipartite = graph_kind(g) == "bipartite"
@@ -200,9 +183,11 @@ def canonical_start(
         for j, v in enumerate(g.vertices):
             config[v] = unit_circle_point(Fraction(j) + _jitter(rng) / 2)
         return config
+    if not keeps_disc_rule(g, target):
+        raise ValueError(
+            "target breaks the disc rule: boundary on the unit circle in order, rest inside"
+        )
     for b in g.boundary:
-        if not on_unit_circle(target[b]):
-            raise ValueError(f"target boundary vertex {b!r} is not on the unit circle")
         config[b] = target[b]
     if bipartite:
         blacks, whites = bipartite_vertex_classes(g)

@@ -71,7 +71,6 @@ class _SignedMatrix(_BoundaryOrder):
     graph: GraphWithBoundary
     n_internal: int
     weights: Mapping | None
-    seed: int
     assignment: SignAssignment
 
     @property
@@ -84,7 +83,7 @@ class _SignedMatrix(_BoundaryOrder):
         return {
             "kind": self.kind,
             "n_internal": self.n_internal,
-            "seed": self.seed,
+            "seed": self.assignment.seed,
             "event_digest": self.assignment.digest(),
             "matrix": self.matrix.to_jsonable(),
         }
@@ -177,7 +176,7 @@ def _signed_entries(g, kind, target, weights, seed, max_retries, require_embedde
     assignment = compute_signed_structure(g, target, seed, max_retries)
     table = weights or {}
     entries = {e: assignment.sign(e) * table.get(e, Fraction(1)) for e in g.sorted_edges}
-    return entries, (g, report.n_internal, weights, seed, assignment)
+    return entries, (g, report.n_internal, weights, assignment)
 
 
 def kasteleyn_matrix(
@@ -194,7 +193,8 @@ def kasteleyn_matrix(
     columns and a k-subset I of boundary columns equals the (weighted)
     number of matchings with boundary trace I.  With require_embedded set
     to False the target may have edge crossings and the minors equal the
-    crossing-signed sums instead.
+    crossing-signed sums instead; a graph with a boundary still needs a
+    target that keeps the disc rule (`keeps_disc_rule`), or ValueError.
     """
     entries, fields = _signed_entries(
         g, "bipartite", target, weights, seed, max_retries, require_embedded
@@ -223,7 +223,8 @@ def skew_kasteleyn_matrix(
 
     At an embedded target, the Pfaffian of the principal minor on the
     internal vertices plus a boundary subset I equals the (weighted)
-    number of matchings with boundary trace I.
+    number of matchings with boundary trace I.  require_embedded=False
+    works as for `kasteleyn_matrix`.
     """
     entries, fields = _signed_entries(
         g, "general", target, weights, seed, max_retries, require_embedded
@@ -271,6 +272,11 @@ class MeasurementTable(_BoundaryOrder):
         }
 
 
+def _check_same_graph(g: GraphWithBoundary, matrix: _SignedMatrix) -> None:
+    if matrix.graph is not g and matrix.graph != g:
+        raise ValueError("matrix was built from a different graph")
+
+
 def measurement_table(g: GraphWithBoundary, matrix) -> MeasurementTable:
     """Evaluate the minor (or Pfaffian minor) for every admissible subset.
 
@@ -279,9 +285,8 @@ def measurement_table(g: GraphWithBoundary, matrix) -> MeasurementTable:
     evaluation.  A boundary of more than MATERIALIZE_LIMIT vertices raises
     ValueError; query the matrix subset by subset instead.
     """
+    _check_same_graph(g, matrix)
     mode = matrix.kind
-    if matrix.graph is not g and matrix.graph != g:
-        raise ValueError("matrix was built from a different graph")
     n = len(g.boundary)
     if n > MATERIALIZE_LIMIT:
         raise ValueError(
@@ -349,6 +354,7 @@ def grassmann_point(g: GraphWithBoundary, K: KasteleynMatrix) -> GrassmannPoint:
     and the zero matrix is returned.  Every coordinate is a matching count
     (weighted: a sum of positive weights), hence nonnegative.
     """
+    _check_same_graph(g, K)
     labels = [tuple(K.boundary[j] for j in s) for s in colex_subsets(len(K.boundary), K.k)]
     plucker = tuple(zip(labels, K.boundary_values(labels)))
     for _, value in plucker:
@@ -386,6 +392,7 @@ def pfaffian_point(g: GraphWithBoundary, X: SkewKasteleynMatrix) -> PfaffianPoin
     Otherwise D(empty) = 0, and the zero matrix is returned with base_zero
     set if no trace is matchable; else no such Y exists (BaseCaseZero).
     """
+    _check_same_graph(g, X)
     n = len(X.boundary)
     scale, y = X._reduction
     if y.dimension == n:  # no rest rows: the internal block is nonsingular

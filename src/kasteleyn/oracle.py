@@ -86,7 +86,7 @@ def oracle_measurement(
     subset = frozenset(boundary_subset)
     total = Fraction(0)
     for m in enumerate_matchings(g, subset, max_vertices):
-        total += matching_weight(g, m, weights)
+        total += matching_weight(m, weights)
     return total
 
 
@@ -107,5 +107,5 @@ def signed_sum(
     subset = frozenset(boundary_subset)
     total = Fraction(0)
     for m in enumerate_matchings(g, subset, max_vertices):
-        total += matching_sign(g, c, m) * matching_weight(g, m, weights)
+        total += matching_sign(g, c, m) * matching_weight(m, weights)
     return total

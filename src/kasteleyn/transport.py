@@ -28,7 +28,7 @@ from .geometry import (
     roots_in_open_unit_interval,
 )
 from .graphs import GraphWithBoundary
-from .immersion import Configuration, PathPlan, _check_total, canonical_start
+from .immersion import Configuration, _check_total, canonical_start
 
 
 class DegeneratePath(Exception):
@@ -50,7 +50,6 @@ class EventRecord:
     t: QuadNum
     vertex: str
     edge: tuple
-    transversal: bool = True
 
     def to_jsonable(self) -> dict:
         return {
@@ -58,7 +57,7 @@ class EventRecord:
             "vertex": self.vertex,
             "edge": list(self.edge),
             "t": {"a": str(self.t.a), "b": str(self.t.b), "d": str(self.t.d)},
-            "transversal": self.transversal,
+            "transversal": True,  # every recorded event is a transversal pass
         }
 
 
@@ -66,7 +65,7 @@ class EventRecord:
 class SignAssignment:
     signs: dict
     events: tuple
-    seed: int
+    seed: int | None = None  # the `compute_signed_structure` seed; None for a given path
     attempts: int = 1
 
     def sign(self, e) -> int:
@@ -92,23 +91,19 @@ def derive_seed(seed: int, attempt: int) -> int:
 
 
 def _random_waypoint(
-    g: GraphWithBoundary,
-    pinned: frozenset,
-    start: Configuration,
-    target: Configuration,
-    rng: Random,
+    g: GraphWithBoundary, start: Configuration, target: Configuration, rng: Random
 ) -> Configuration:
-    """One interior waypoint on the 1/2^16 lattice for all unpinned vertices.
+    """One waypoint on the 1/2^16 lattice for all non-boundary vertices.
 
-    With a pinned boundary the samples stay strictly inside the unit disc,
-    which keeps every edge interior off the circle and the pinned vertices
-    safe from events.
+    The boundary stays at its target positions and the samples strictly
+    inside the unit disc, which keeps every edge interior off the circle
+    and the boundary vertices safe from events.
     """
     grain = 1 << 16
     config: Configuration = {}
-    if pinned:
+    if g.boundary:
         for v in g.vertices:
-            if v in pinned:
+            if v in g.boundary_set:
                 config[v] = target[v]
                 continue
             while True:
@@ -134,30 +129,30 @@ def build_path(
     target: Configuration,
     seed: int = 0,
     extra_waypoints: int = 0,
-) -> PathPlan:
-    """Straight-line path from the canonical start to the target.
+) -> tuple:
+    """Waypoints of a straight-line path from the canonical start to the target.
 
     The start drawing follows the graph's own mode (`canonical_start`), so
-    a graph mixing colored and uncolored vertices raises ValueError.
-    Boundary vertices are pinned at their target positions throughout.
+    a graph mixing colored and uncolored vertices, or a graph with a
+    boundary whose target breaks the disc rule, raises ValueError.
+    Boundary vertices stay at their target positions throughout.
     Optional seeded interior waypoints are inserted to break degeneracies
     found during transport.
     """
-    pinned = frozenset(g.boundary)
     start = canonical_start(g, target, seed)
     rng = Random(f"waypoints:{seed}")
     waypoints = [start]
     for _ in range(extra_waypoints):
-        waypoints.append(_random_waypoint(g, pinned, start, target, rng))
+        waypoints.append(_random_waypoint(g, start, target, rng))
     waypoints.append(dict(target))
     deduped = [waypoints[0]]
     for w in waypoints[1:]:
         if w != deduped[-1]:
             deduped.append(w)
-    return PathPlan(tuple(deduped), pinned)
+    return tuple(deduped)
 
 
-def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> SignAssignment:
+def transport_signs(g: GraphWithBoundary, waypoints: tuple) -> SignAssignment:
     """Accumulate edge sign flips over every vertex-through-edge event.
 
     For each path segment and each pair (vertex v, edge e) with v not an
@@ -169,14 +164,16 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
     non-incident edge: at the first or last waypoint that is a ValueError
     (the path endpoints must be immersions), at an interior one a
     DegeneratePath.  Before that, a waypoint that misses a vertex is a
-    ValueError and one with a float coordinate a TypeError.
+    ValueError and one with a float coordinate a TypeError.  Only a vertex
+    that every matching covers may flip a sign, so after the scan an event
+    whose vertex is on the boundary raises ValueError.
     """
-    for w in path.waypoints:
+    for w in waypoints:
         _check_total(g, w)
     signs = {e: 1 for e in g.sorted_edges}
     events: list[EventRecord] = []
     # A path without motion is one still segment, so its drawing is checked too.
-    waypoints = path.waypoints if path.segments else path.waypoints * 2
+    waypoints = waypoints if len(waypoints) > 1 else waypoints * 2
     last = len(waypoints) - 1
     for si in range(last):
         w0, w1 = waypoints[si], waypoints[si + 1]
@@ -230,12 +227,13 @@ def transport_signs(g: GraphWithBoundary, path: PathPlan, seed: int = 0) -> Sign
                         continue
                     if between:
                         signs[e] = -signs[e]
-                        events.append(EventRecord(si, t0, v, e, True))
+                        events.append(EventRecord(si, t0, v, e))
     # Stable sort: roots of one (vertex, edge) pair keep their time order.
     events.sort(key=lambda ev: (ev.segment, ev.vertex, ev.edge))
     for ev in events:
-        assert ev.vertex not in path.pinned, "pinned vertex named as event mover"
-    return SignAssignment(signs, tuple(events), seed)
+        if ev.vertex in g.boundary_set:
+            raise ValueError(f"boundary vertex {ev.vertex!r} meets edge {ev.edge}")
+    return SignAssignment(signs, tuple(events))
 
 
 def compute_signed_structure(
@@ -246,11 +244,12 @@ def compute_signed_structure(
 ) -> SignAssignment:
     """Transport with deterministic retry on degeneracy.
 
-    The start drawing and the pinned vertices follow from the graph alone
-    (`build_path`); a graph mixing colored and uncolored vertices raises
-    ValueError.  Attempt i reruns the whole construction with a derived
-    seed; retries insert one random interior waypoint to step around the
-    codimension-two bad set.  Deterministic in (inputs, seed).
+    The start drawing follows from the graph and the target (`build_path`);
+    a graph mixing colored and uncolored vertices, or a boundary graph's
+    target that breaks the disc rule, raises ValueError.  Attempt i reruns
+    the whole construction with a derived seed; retries insert one random
+    interior waypoint to step around the codimension-two bad set.  The
+    result carries `seed` itself.  Deterministic in (inputs, seed).
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be nonnegative, not {max_retries}")
@@ -259,7 +258,7 @@ def compute_signed_structure(
         attempt_seed = derive_seed(seed, attempt)
         path = build_path(g, target, attempt_seed, extra_waypoints=0 if attempt == 0 else 1)
         try:
-            result = transport_signs(g, path, seed=attempt_seed)
+            result = transport_signs(g, path)
         except DegeneratePath as exc:
             last = exc
             continue

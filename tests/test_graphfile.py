@@ -118,3 +118,22 @@ class TestRoundTrip:
         assert K.parse(K.serialize(g, c, w)) == (g, c, w)
         assert K.serialize(g, c, w) == (FIXTURES / "grid2x3_weighted.kg").read_text()
         assert K.serialize(g, c) == (FIXTURES / "grid2x3.kg").read_text()
+
+    def test_reversed_weight_key_round_trips(self):
+        g, c = K.generate_grid(2, 3)
+        text = K.serialize(g, c, {("g0x1", "g0x0"): 2})
+        assert "edge g0x0 g0x1 2\n" in text
+        assert K.parse(text) == (g, c, {("g0x0", "g0x1"): F(2)})
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({("g0x0", "g0x1"): 0.5}, "float weight 0.5"),
+            ({("g0x0", "g1x1"): 2}, "weight given for non-edge"),
+            ({("g0x0", "g0x1"): 0}, "must be positive"),
+        ],
+    )
+    def test_weight_table_is_checked(self, weights, message):
+        g, c = K.generate_grid(2, 3)
+        with pytest.raises(ValueError, match=message):
+            K.serialize(g, c, weights)

@@ -6,7 +6,7 @@ import pytest
 
 import kasteleyn as K
 from kasteleyn import measurements
-from kasteleyn.immersion import PathPlan, boundary_in_ccw_order, edges_cross
+from kasteleyn.immersion import edges_cross
 
 F = Fraction
 
@@ -136,7 +136,7 @@ class TestDiscEmbedding:
         swapped = dict(c)
         swapped["v2"], swapped["v4"] = swapped["v4"], swapped["v2"]
         assert not K.is_disc_embedding(g, swapped)
-        assert not boundary_in_ccw_order(g, swapped)
+        assert not K.keeps_disc_rule(g, swapped)
 
     def test_scaled_grid(self):
         g, c = K.generate_grid(3, 3)
@@ -290,10 +290,10 @@ class TestExactnessDoor:
     def test_transport_checks_each_waypoint(self):
         g, c = float_grid()
         with pytest.raises(TypeError, match=FLOAT_REFUSAL):
-            K.transport_signs(g, PathPlan((c, c), frozenset()))
+            K.transport_signs(g, (c, c))
         exact = K.generate_grid(2, 2)[1]
         with pytest.raises(TypeError, match=FLOAT_REFUSAL):
-            K.transport_signs(g, PathPlan((exact, c), frozenset()))
+            K.transport_signs(g, (exact, c))
 
     def test_canonical_start_checks_the_target(self, fan):
         g, c = fan

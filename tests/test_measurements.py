@@ -163,6 +163,32 @@ class TestBuilderKind:
             K.skew_kasteleyn_matrix(g, c)
 
 
+class TestMatrixOfAnotherGraph:
+    """A table or point refuses a matrix built from a different graph."""
+
+    message = "matrix was built from a different graph"
+
+    def test_bipartite_table_and_point(self):
+        g, _ = K.generate_grid(2, 2)
+        other, c = K.generate_grid(2, 3)
+        m = K.kasteleyn_matrix(other, c)
+        with pytest.raises(ValueError, match=self.message):
+            K.measurement_table(g, m)
+        with pytest.raises(ValueError, match=self.message):
+            K.grassmann_point(g, m)
+        assert K.grassmann_point(other, m).k == m.k
+
+    def test_general_table_and_point(self, boundary_cycle):
+        g, _ = K.generate_random_disc_graph("general", 4, n_internal=2, seed=0)
+        other, c = boundary_cycle
+        x = K.skew_kasteleyn_matrix(other, c)
+        with pytest.raises(ValueError, match=self.message):
+            K.measurement_table(g, x)
+        with pytest.raises(ValueError, match=self.message):
+            K.pfaffian_point(g, x)
+        assert K.pfaffian_point(other, x).boundary == other.boundary
+
+
 class TestNonBoundarySubsets:
     """A label outside the boundary is one ValueError on every entry point."""
 
@@ -404,5 +430,5 @@ class TestBuilderAssembly:
         for weights in (None, random_weights(g, len(g.vertices))):
             m = build(g, c, weights, seed=3)
             assert m.matrix == reference(g, m.assignment, weights)
-            assert (m.graph, m.seed, m.weights) == (g, 3, weights)
+            assert (m.graph, m.assignment.seed, m.weights) == (g, 3, weights)
             assert m.n_internal == K.validate(g).n_internal

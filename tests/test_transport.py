@@ -1,11 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import kasteleyn as K
 from kasteleyn.geometry import QuadNum
-from kasteleyn.immersion import PathPlan
 from kasteleyn import transport
 from kasteleyn.transport import DegeneratePath
 
@@ -23,33 +26,30 @@ def sweep_fixture():
 class TestTransportSigns:
     def test_no_motion_no_events(self):
         g, low, _ = sweep_fixture()
-        plan = PathPlan((low,), frozenset())
-        result = K.transport_signs(g, plan)
+        result = K.transport_signs(g, (low,))
         assert result.signs == {("a", "b"): 1}
         assert result.events == ()
 
     def test_single_sweep_flips_the_edge(self):
         g, low, high = sweep_fixture()
-        plan = PathPlan((low, high), frozenset())
-        result = K.transport_signs(g, plan)
+        result = K.transport_signs(g, (low, high))
         assert result.signs == {("a", "b"): -1}
         assert len(result.events) == 1
         event = result.events[0]
         assert event.vertex == "v" and event.edge == ("a", "b")
         assert event.t == QuadNum(F(1, 2))
-        assert event.transversal
+        assert event.to_jsonable()["transversal"] is True
 
     def test_out_and_back_restores_the_sign(self):
         g, low, high = sweep_fixture()
-        plan = PathPlan((low, high, low), frozenset())
-        result = K.transport_signs(g, plan)
+        result = K.transport_signs(g, (low, high, low))
         assert result.signs == {("a", "b"): 1}
         assert len(result.events) == 2
 
     def test_reversed_path_composes_to_identity(self):
         g, low, high = sweep_fixture()
-        forward = K.transport_signs(g, PathPlan((low, high), frozenset()))
-        backward = K.transport_signs(g, PathPlan((high, low), frozenset()))
+        forward = K.transport_signs(g, (low, high))
+        backward = K.transport_signs(g, (high, low))
         assert len(forward.events) == len(backward.events) == 1
         for e in g.sorted_edges:
             assert forward.signs[e] * backward.signs[e] == 1
@@ -58,7 +58,7 @@ class TestTransportSigns:
         g = K.make_graph(["a", "b", "v"], {}, [("a", "b")])
         lo = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(2), F(-1))}
         hi = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(2), F(1))}
-        result = K.transport_signs(g, PathPlan((lo, hi), frozenset()))
+        result = K.transport_signs(g, (lo, hi))
         assert result.signs == {("a", "b"): 1}
         assert result.events == ()
 
@@ -67,14 +67,14 @@ class TestTransportSigns:
         lo = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(1), F(-1))}
         hi = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(1), F(1))}
         with pytest.raises(DegeneratePath):
-            K.transport_signs(g, PathPlan((lo, hi), frozenset()))
+            K.transport_signs(g, (lo, hi))
 
     def test_double_crossing_over_two_segments(self):
         g = K.make_graph(["a", "b", "v"], {}, [("a", "b")])
         lo = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(-1), F(1))}
         hi = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(1), F(1))}
         mid = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(-1))}
-        result = K.transport_signs(g, PathPlan((lo, mid, hi), frozenset()))
+        result = K.transport_signs(g, (lo, mid, hi))
         assert result.signs == {("a", "b"): 1}
         assert len(result.events) == 2
 
@@ -83,7 +83,7 @@ class TestTransportSigns:
         below = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(-1))}
         on_edge = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(0))}
         with pytest.raises(DegeneratePath):
-            K.transport_signs(g, PathPlan((below, on_edge, below), frozenset()))
+            K.transport_signs(g, (below, on_edge, below))
 
     def test_tangential_contact_is_degenerate(self):
         # The edge rotates about its midpoint while v passes through it:
@@ -93,7 +93,7 @@ class TestTransportSigns:
         w0 = {"a": (F(-1), F(1)), "b": (F(1), F(-1)), "v": (F(-1, 2), F(0))}
         w1 = {"a": (F(-1), F(-1)), "b": (F(1), F(1)), "v": (F(1, 2), F(0))}
         with pytest.raises(DegeneratePath):
-            K.transport_signs(g, PathPlan((w0, w1), frozenset()))
+            K.transport_signs(g, (w0, w1))
 
     def test_double_root_outside_edge_is_ignored(self):
         # Same tangency shape but v grazes the supporting line beyond the
@@ -101,7 +101,7 @@ class TestTransportSigns:
         g = K.make_graph(["a", "b", "v"], {}, [("a", "b")])
         w0 = {"a": (F(0), F(0)), "b": (F(0), F(1)), "v": (F(-1), F(-2))}
         w1 = {"a": (F(0), F(0)), "b": (F(2), F(1)), "v": (F(-1), F(0))}
-        result = K.transport_signs(g, PathPlan((w0, w1), frozenset()))
+        result = K.transport_signs(g, (w0, w1))
         assert result.signs == {("a", "b"): 1}
         assert result.events == ()
 
@@ -110,14 +110,14 @@ class TestTransportSigns:
         lo = {"a": (F(0), F(0)), "b": (F(1), F(0)), "v": (F(3), F(0))}
         hi = {"a": (F(0), F(0)), "b": (F(1), F(0)), "v": (F(2), F(0))}
         with pytest.raises(DegeneratePath):
-            K.transport_signs(g, PathPlan((lo, hi), frozenset()))
+            K.transport_signs(g, (lo, hi))
 
     def test_endpoints_must_be_immersions(self):
         g = K.make_graph(["a", "b", "v"], {}, [("a", "b")])
         on_edge = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(0))}
         off = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(1))}
         with pytest.raises(ValueError):
-            K.transport_signs(g, PathPlan((on_edge, off), frozenset()))
+            K.transport_signs(g, (on_edge, off))
 
     def test_contact_at_each_end_or_inside_the_path(self):
         # The last waypoint and a one-waypoint path are endpoints too; a
@@ -128,32 +128,99 @@ class TestTransportSigns:
         below = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "v": (F(0), F(-1))}
         for waypoints in ((above, on_edge), (on_edge,)):
             with pytest.raises(ValueError, match="path endpoints must be immersions"):
-                K.transport_signs(g, PathPlan(waypoints, frozenset()))
+                K.transport_signs(g, waypoints)
         with pytest.raises(DegeneratePath, match="at waypoint 1"):
-            K.transport_signs(g, PathPlan((above, on_edge, below), frozenset()))
-        assert K.transport_signs(g, PathPlan((above,), frozenset())).signs == {("a", "b"): 1}
+            K.transport_signs(g, (above, on_edge, below))
+        assert K.transport_signs(g, (above,)).signs == {("a", "b"): 1}
 
 
 class TestBuildPath:
     def test_single_segment_by_default(self):
         g, c = K.generate_grid(2, 2)
-        plan = K.build_path(g, c, seed=0)
-        assert plan.segments == 1
-        assert plan.pinned == frozenset()
-        assert plan.waypoints[-1] == c
+        path = K.build_path(g, c, seed=0)
+        assert len(path) - 1 == 1
+        assert path[-1] == c
 
     def test_empty_motion_for_all_boundary_graph(self, boundary_cycle):
         g, c = boundary_cycle
-        plan = K.build_path(g, c, seed=0)
-        assert plan.segments == 0
+        path = K.build_path(g, c, seed=0)
+        assert len(path) - 1 == 0
 
     def test_extra_waypoint_stays_pinned(self, fan):
         g, c = fan
-        plan = K.build_path(g, c, seed=1, extra_waypoints=1)
-        assert plan.segments == 2
+        path = K.build_path(g, c, seed=1, extra_waypoints=1)
+        assert len(path) - 1 == 2
         for b in g.boundary:
-            for w in plan.waypoints:
+            for w in path:
                 assert w[b] == c[b]
+
+
+def disc_graph_and_broken_targets():
+    """A general 5+3 disc graph and two crossing targets that break the disc rule.
+
+    One swaps boundary vertices t0 and t1 (both still on the circle, out of
+    order); the other moves internal v0 out of the disc to (0, -3).
+    """
+    g, c = K.generate_random_disc_graph("general", 5, 3, seed=0)
+    swapped = dict(c, t0=c["t1"], t1=c["t0"])
+    moved = dict(c, v0=(F(0), F(-3)))
+    return g, c, swapped, moved
+
+
+class TestDiscRule:
+    """A boundary graph's target keeps the boundary on the circle in order, the rest inside."""
+
+    def test_broken_targets_are_refused_before_transport(self, monkeypatch):
+        g, c, swapped, moved = disc_graph_and_broken_targets()
+        assert K.keeps_disc_rule(g, c)
+        monkeypatch.setattr(transport, "transport_signs", lambda *args: pytest.fail("transported"))
+        for target in (swapped, moved):
+            assert K.is_immersion(g, target) and not K.keeps_disc_rule(g, target)
+            with pytest.raises(ValueError, match="target breaks the disc rule"):
+                K.skew_kasteleyn_matrix(g, target, require_embedded=False)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_swapped_bipartite_boundary_is_refused(self, seed):
+        g, c = K.generate_random_disc_graph("bipartite", 5, 2, k=2, seed=seed)
+        swapped = dict(c, t0=c["t2"], t2=c["t0"])
+        with pytest.raises(ValueError, match="target breaks the disc rule"):
+            K.kasteleyn_matrix(g, swapped, require_embedded=False)
+
+    def test_crossed_boundary_vertex_is_refused(self):
+        g, c, _, moved = disc_graph_and_broken_targets()
+        with pytest.raises(ValueError, match=r"boundary vertex 't2' meets edge \('v0', 'v1'\)"):
+            K.transport_signs(g, (K.canonical_start(g, c), moved))
+
+    def test_refusal_survives_optimized_mode(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "import kasteleyn as K\n"
+            "g, c = K.generate_random_disc_graph('general', 5, 3, seed=0)\n"
+            "moved = dict(c, v0=(F(0), F(-3)))\n"
+            "try:\n"
+            "    K.transport_signs(g, (K.canonical_start(g, c), moved))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.stdout.decode() == "boundary vertex 't2' meets edge ('v0', 'v1')\n"
+
+    def test_degenerate_path_wins_over_a_crossed_boundary(self):
+        # v (boundary) sweeps through ab; w slides along the line of pq.
+        g = K.make_graph(["a", "b", "p", "q", "v", "w"], {}, [("a", "b"), ("p", "q")], ["v"])
+        fixed = {"a": (F(-1), F(0)), "b": (F(1), F(0)), "p": (F(0), F(5)), "q": (F(1), F(5))}
+        start = dict(fixed, v=(F(0), F(-1)), w=(F(2), F(5)))
+        end = dict(fixed, v=(F(0), F(1)), w=(F(3), F(5)))
+        with pytest.raises(DegeneratePath, match="stays collinear"):
+            K.transport_signs(g, (start, end))
+        with pytest.raises(ValueError, match="boundary vertex 'v' meets edge"):
+            K.transport_signs(g, (start, dict(end, w=start["w"])))
 
 
 def colliding_fixture():
@@ -182,9 +249,9 @@ class TestRetries:
         from kasteleyn.transport import derive_seed
 
         g, target = colliding_fixture()
-        plan = K.build_path(g, target, seed=derive_seed(0, 0))
+        path = K.build_path(g, target, seed=derive_seed(0, 0))
         with pytest.raises(DegeneratePath):
-            K.transport_signs(g, plan)
+            K.transport_signs(g, path)
 
     def test_retry_succeeds_with_extra_waypoint(self):
         g, target = colliding_fixture()
@@ -252,7 +319,7 @@ class TestComputeSignedStructure:
 class TestSerialization:
     def test_event_log_roundtrips_to_json(self):
         g, low, high = sweep_fixture()
-        result = K.transport_signs(g, PathPlan((low, high), frozenset()))
+        result = K.transport_signs(g, (low, high))
         payload = result.to_jsonable()
         assert payload["signs"] == {"a,b": -1}
         assert payload["events"][0]["vertex"] == "v"
