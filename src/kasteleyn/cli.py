@@ -81,6 +81,9 @@ def _parse_subset(g, raw: str) -> frozenset:
     stray = [s for s in ids if s not in g.boundary_set]
     if stray:
         raise ValueError(f"not boundary vertices: {','.join(stray)}")
+    repeated = dict.fromkeys(s for s in ids if ids.count(s) > 1)
+    if repeated:
+        raise ValueError(f"repeated subset members: {','.join(repeated)}")
     return frozenset(ids)
 
 

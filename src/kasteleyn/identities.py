@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
+from . import linalg
 from .measurements import (
     GrassmannPoint,
     MeasurementTable,
@@ -103,18 +104,20 @@ def check_pfaffian_consistency(
     y: PfaffianPoint,
     seed: int = 0,
 ) -> IdentityReport:
-    """Pf(X on internals+I) = Pf(Y on I) * Pf(X on internals) for each I."""
+    """Pf(X on internals+I) = Pf(Y on I) * Pf(X on internals), X's side as full-size minors."""
     if tuple(y.boundary) != tuple(x.boundary):
         raise ValueError("mismatched boundary labels")
     n = len(x.boundary)
-    base = x.measurement(())
+    internals = list(range(x.n_internal))
+    base = linalg.pfaffian_minor(x.matrix, internals)
     subsets = [s for size in range(n + 1) for s in combinations(x.boundary, size)]
     if n > EXHAUSTIVE_LIMIT:
         rng = Random(f"pfaffian-consistency:{seed}")
         subsets = rng.sample(subsets, min(SAMPLE_SIZE, len(subsets)))
     checked = 0
     for subset in subsets:
-        lhs = x.measurement(subset)
+        keep = internals + [x.n_internal + p for p in x.boundary_positions(subset)]
+        lhs = linalg.pfaffian_minor(x.matrix, keep)
         rhs = y.value(subset) * base
         checked += 1
         if lhs != rhs:

@@ -140,8 +140,10 @@ def _arc_parameters(p_from: Point, p_to: Point, m: int, rng: Random) -> list[Fra
     t_from = unit_circle_param(p_from)
     t_to = unit_circle_param(p_to)
     if t_from is None:
-        # Arc starts at (-1, 0): climb towards t_to from below.
-        return [t_to - (m + 1) + j + _jitter(rng) / 2 for j in range(1, m + 1)]
+        # Arc starts at (-1, 0): climb towards t_to from below, or anywhere
+        # if it ends there too (one boundary vertex: the rest of the circle).
+        top = m + 1 if t_to is None else t_to
+        return [top - (m + 1) + j + _jitter(rng) / 2 for j in range(1, m + 1)]
     if t_to is None or t_from >= t_to:
         # Arc wraps through (-1, 0): stay on the near side of the wrap.
         return [t_from + j + _jitter(rng) / 2 for j in range(1, m + 1)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from random import Random
 from typing import Iterable, Sequence
 
@@ -196,46 +197,43 @@ def _forward_eliminate(work: list, n_left: int) -> Fraction:
     return pivot_product
 
 
-def reduce_left_block(k_matrix: RatMatrix, n_left: int) -> RatMatrix:
-    """Eliminate the first n_left columns and return the trailing bottom block.
+def reduce_left_block(k_matrix: RatMatrix, n_left: int) -> tuple[Fraction, RatMatrix]:
+    """Eliminate the first n_left columns; return (scale, trailing bottom block).
 
-    Row operations are chosen so that the composite has determinant one
-    (pure eliminations plus one compensating scaling of the first bottom
-    row), hence every maximal minor is preserved: for a subset I of the
-    trailing columns,
-    det input[all rows; first n_left + I] = det output[all rows; I].
+    The row operations are pure eliminations (determinant one) and scale
+    is the product of their pivots, so for every subset I of the trailing
+    columns, det input[all rows; first n_left + I] = scale * det block[:, I].
+    With no bottom rows the block is empty and scale is that determinant.
     A sample of these equalities is re-checked before returning.
     """
     n_rows, n_cols = k_matrix.shape
     if not 0 <= n_left <= min(n_rows, n_cols):
         raise ValueError("left block size out of range")
     work = [list(row) for row in k_matrix.entries]
-    pivot_product = _forward_eliminate(work, n_left)
-    if n_rows == n_left:
-        return RatMatrix((), (), tuple(k_matrix.col_labels[n_left:]))
-    work[n_left] = [x * pivot_product for x in work[n_left]]
-    bottom = RatMatrix(
+    scale = _forward_eliminate(work, n_left)
+    block = RatMatrix(
         tuple(tuple(row[n_left:]) for row in work[n_left:]),
         tuple(k_matrix.row_labels[n_left:]),
         tuple(k_matrix.col_labels[n_left:]),
     )
-    _verify_left_block(k_matrix, bottom, n_left)
-    return bottom
+    _verify_left_block(k_matrix, scale, block, n_left)
+    return scale, block
 
 
-def _verify_left_block(k_matrix: RatMatrix, bottom: RatMatrix, n_left: int) -> None:
+def _verify_left_block(k_matrix: RatMatrix, scale: Fraction, block: RatMatrix, n_left: int) -> None:
     n_rows, n_cols = k_matrix.shape
     k_extra = n_rows - n_left
     trailing = n_cols - n_left
-    all_subsets = list(combinations(range(trailing), k_extra))
-    if len(all_subsets) > 8:
+    if comb(trailing, k_extra) <= 8:
+        all_subsets = list(combinations(range(trailing), k_extra))
+    else:  # drawn, not listed: there are exponentially many in the boundary size
         rng = Random(f"left-block:{n_rows}x{n_cols}")
-        all_subsets = rng.sample(all_subsets, 8)
+        all_subsets = [sorted(rng.sample(range(trailing), k_extra)) for _ in range(8)]
     all_rows = list(range(n_rows))
     for subset in all_subsets:
         full_cols = list(range(n_left)) + [n_left + j for j in subset]
         lhs = minor(k_matrix, all_rows, full_cols)
-        rhs = minor(bottom, list(range(k_extra)), list(subset))
+        rhs = scale * minor(block, list(range(k_extra)), list(subset))
         if lhs != rhs:
             raise AssertionError(
                 f"left-block reduction broke the minor on columns {subset}"
@@ -344,9 +342,10 @@ def skew_congruence_reduce(x: SkewMatrix, n_leading: int) -> SkewMatrix:
 def _verify_congruence(x: SkewMatrix, scale: Fraction, r: SkewMatrix, n_leading: int) -> None:
     trailing = x.dimension - n_leading
     n_rest = r.dimension - trailing
-    subsets = [s for size in range(trailing + 1) for s in combinations(range(trailing), size)]
-    if len(subsets) > 16:
-        subsets = Random(f"congruence:{x.dimension}").sample(subsets, 16)
+    masks = range(1 << trailing)  # one per subset of the trailing indices
+    if len(masks) > 16:
+        masks = Random(f"congruence:{x.dimension}").sample(masks, 16)
+    subsets = [[j for j in range(trailing) if mask >> j & 1] for mask in masks]
     for subset in subsets:
         lhs = pfaffian_minor(x, list(range(n_leading)) + [n_leading + j for j in subset])
         rhs = scale * pfaffian_minor(r, list(range(n_rest)) + [n_rest + j for j in subset])

@@ -8,8 +8,10 @@ follow the row-reduced boundary matrix whose maximal minors are the same
 counts (a nonnegative point in a Grassmannian, projectively) and the
 boundary skew matrix Y with Pf(Y_I) * D(empty) = D(I).
 
-Tables and Grassmann points read every D(I) from one block reduction
-(`boundary_values`); `measurement` stays the full-size minor.
+Each matrix reduces its internal block once (`_reduction`, a scale and a
+boundary block), and every D(I) is read from it by `boundary_values`:
+`measurement`, tables, Grassmann and Pfaffian points alike.  The full-size
+minors are left to `linalg`, as referees.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ class _SignedMatrix(_BoundaryOrder):
 
     boundary_positions = _BoundaryOrder._positions
 
+    def measurement(self, subset) -> Fraction:
+        """D(subset): the (weighted) count of matchings with that boundary trace."""
+        return self.boundary_values([subset])[0]
+
     def to_jsonable(self) -> dict:
         return {
             "kind": self.kind,
@@ -96,30 +102,22 @@ class KasteleynMatrix(_SignedMatrix):
     def k(self) -> int:
         return self.matrix.shape[0] - self.n_internal
 
-    def measurement(self, subset) -> Fraction:
-        """det of the minor on all rows, internal columns plus the subset."""
-        positions = self.boundary_positions(subset)
-        if len(positions) != self.k:
-            return Fraction(0)
-        cols = list(range(self.n_internal)) + [self.n_internal + p for p in positions]
-        return linalg.minor(self.matrix, list(range(self.matrix.shape[0])), cols)
-
     @cached_property
-    def boundary_matrix(self) -> linalg.RatMatrix:
-        """k x n matrix whose maximal minors are the measurements (k > 0)."""
+    def _reduction(self) -> tuple[Fraction, linalg.RatMatrix]:
+        """(scale, block) with det(all rows; internals + I) = scale * det(block[:, I])."""
         try:
             return linalg.reduce_left_block(self.matrix, self.n_internal)
         except linalg.SingularLeftBlock:  # no matchings at all
             zero = [[0] * len(self.boundary)] * self.k
-            return linalg.matrix(zero, self.matrix.row_labels[self.n_internal:], self.boundary)
+            labels = self.matrix.row_labels[self.n_internal:]
+            return Fraction(0), linalg.matrix(zero, labels, self.boundary)
 
     def boundary_values(self, subsets) -> list[Fraction]:
-        """measurement() of each subset, as k x k minors of boundary_matrix."""
-        if self.k == 0:  # boundary_matrix has no rows: det of the internal block is lost
-            return [self.measurement(s) for s in subsets]
-        L, rows = self.boundary_matrix, range(self.k)
-        positions = map(self.boundary_positions, subsets)
-        return [linalg.minor(L, rows, p) if len(p) == self.k else Fraction(0) for p in positions]
+        """D(I) of each subset I: scale * det(block[:, I]) when |I| = k, else 0."""
+        positions = [self.boundary_positions(s) for s in subsets]
+        scale, block = self._reduction
+        return [scale * linalg.minor(block, range(self.k), p) if len(p) == self.k else Fraction(0)
+                for p in positions]
 
     def to_jsonable(self) -> dict:
         return {**super().to_jsonable(), "k": self.k}
@@ -128,20 +126,13 @@ class KasteleynMatrix(_SignedMatrix):
 class SkewKasteleynMatrix(_SignedMatrix):
     kind = "general"  # labels: internal vertices then boundary
 
-    def measurement(self, subset) -> Fraction:
-        """Pfaffian of the principal minor on internals plus the subset."""
-        keep = list(range(self.n_internal)) + [
-            self.n_internal + p for p in self.boundary_positions(subset)
-        ]
-        return linalg.pfaffian_minor(self.matrix, keep)
-
     @cached_property
     def _reduction(self) -> tuple[Fraction, linalg.SkewMatrix]:
         """(scale, r) with Pf(matrix on internals + I) = scale * Pf(r on rest + I)."""
         return linalg.reduce_leading_block(self.matrix, self.n_internal)
 
     def boundary_values(self, subsets) -> list[Fraction]:
-        """measurement() of each subset, as scale * Pf(r on rest + I)."""
+        """D(I) of each subset I, as scale * Pf(r on rest + I)."""
         scale, r = self._reduction
         n_rest = r.dimension - len(self.boundary)
         rest = list(range(n_rest))
@@ -362,7 +353,10 @@ def grassmann_point(g: GraphWithBoundary, K: KasteleynMatrix) -> GrassmannPoint:
             raise ValueError(
                 "negative boundary measurement; the target drawing is not an embedding"
             )
-    return GrassmannPoint(K.boundary_matrix, tuple(K.boundary), K.k, plucker)
+    scale, block = K._reduction  # scaling one row makes the k x k minors the counts
+    rows = [[scale * x for x in row] for row in block.entries[:1]] + list(block.entries[1:])
+    matrix = linalg.matrix(rows, block.row_labels, block.col_labels)
+    return GrassmannPoint(matrix, tuple(K.boundary), K.k, plucker)
 
 
 @dataclass(frozen=True)
@@ -399,7 +393,7 @@ def pfaffian_point(g: GraphWithBoundary, X: SkewKasteleynMatrix) -> PfaffianPoin
         return PfaffianPoint(y, X.boundary, scale)
     for size in range(n + 1):
         for subset in combinations(X.boundary, size):
-            if X.boundary_values([subset])[0] != 0:
+            if X.measurement(subset) != 0:
                 raise BaseCaseZero(
                     f"no boundary-avoiding matchings but trace {subset} is matchable"
                 )

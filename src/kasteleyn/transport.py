@@ -24,7 +24,6 @@ from .geometry import (
     _motion_differences,
     motion_betweenness_polys,
     motion_collinearity_poly,
-    point_on_segment,
     roots_in_open_unit_interval,
 )
 from .graphs import GraphWithBoundary
@@ -137,7 +136,7 @@ def build_path(
     boundary whose target breaks the disc rule, raises ValueError.
     Boundary vertices stay at their target positions throughout.
     Optional seeded interior waypoints are inserted to break degeneracies
-    found during transport.
+    found during transport.  A path has two waypoints or more, even a still one.
     """
     start = canonical_start(g, target, seed)
     rng = Random(f"waypoints:{seed}")
@@ -145,28 +144,26 @@ def build_path(
     for _ in range(extra_waypoints):
         waypoints.append(_random_waypoint(g, start, target, rng))
     waypoints.append(dict(target))
-    deduped = [waypoints[0]]
-    for w in waypoints[1:]:
-        if w != deduped[-1]:
-            deduped.append(w)
-    return tuple(deduped)
+    return tuple(waypoints)
 
 
 def transport_signs(g: GraphWithBoundary, waypoints: tuple) -> SignAssignment:
     """Accumulate edge sign flips over every vertex-through-edge event.
 
-    For each path segment and each pair (vertex v, edge e) with v not an
-    endpoint of e, the collinearity quadratic is solved exactly; a simple
-    root in (0, 1) at which v lies strictly between the endpoints of e
-    flips e's sign.  Tangential contacts, hits at segment junctions,
-    vertex-meets-endpoint coincidences and identically-collinear motions
-    raise DegeneratePath.  Every waypoint is checked once for a vertex on a
-    non-incident edge: at the first or last waypoint that is a ValueError
-    (the path endpoints must be immersions), at an interior one a
-    DegeneratePath.  Before that, a waypoint that misses a vertex is a
-    ValueError and one with a float coordinate a TypeError.  Only a vertex
-    that every matching covers may flip a sign, so after the scan an event
-    whose vertex is on the boundary raises ValueError.
+    Each segment and pair (vertex v, edge e not at v) is read from its
+    motion polynomials alone: the collinearity quadratic f and the dot
+    products of `motion_betweenness_polys`.  A simple root of f in (0, 1)
+    with v strictly between e's endpoints flips e's sign; tangencies, hits
+    at segment junctions or at an endpoint and collinear motions raise
+    DegeneratePath.  Each waypoint is checked once, at its time t (0 or 1)
+    on a segment: f(t) = 0 with both dot products >= 0 is a contact,
+    'interior' if both are > 0, else 'endpoint' (so is a zero-length edge);
+    a ValueError at the first or last waypoint (the path endpoints must be
+    immersions), a DegeneratePath at an interior one.  Before that, a
+    waypoint that misses a vertex is a ValueError and one with a float
+    coordinate a TypeError.  Only a vertex that every matching covers may
+    flip a sign, so after the scan an event on a boundary vertex raises
+    ValueError.
     """
     for w in waypoints:
         _check_total(g, w)
@@ -178,25 +175,26 @@ def transport_signs(g: GraphWithBoundary, waypoints: tuple) -> SignAssignment:
     for si in range(last):
         w0, w1 = waypoints[si], waypoints[si + 1]
         moving = {v for v in g.vertices if w0[v] != w1[v]}
-        checked = (si, si + 1) if si == 0 else (si + 1,)
+        unchecked = (0, 1) if si == 0 else (1,)  # waypoint times no earlier segment read
         for e in g.sorted_edges:
             a, b = e
             for v in g.vertices:
                 if v == a or v == b:
                     continue
-                for wi in checked:
-                    w = waypoints[wi]
-                    where = point_on_segment(w[v], w[a], w[b])
-                    if where is not None:
-                        if wi == 0 or wi == last:
-                            raise ValueError("path endpoints must be immersions")
-                        raise DegeneratePath(
-                            f"vertex {v!r} meets edge {e} exactly at waypoint {wi} ({where})"
-                        )
-                if v not in moving and a not in moving and b not in moving:
-                    continue
                 diffs = _motion_differences(w0[v], w1[v], w0[a], w1[a], w0[b], w1[b])
                 f = motion_collinearity_poly(*diffs)
+                for t in (t for t in unchecked if f(t) == 0):
+                    d1, d2 = (p(t) for p in motion_betweenness_polys(*diffs)[:2])
+                    if d1 < 0 or d2 < 0:
+                        continue
+                    if si + t in (0, last):
+                        raise ValueError("path endpoints must be immersions")
+                    where = "interior" if d1 > 0 and d2 > 0 else "endpoint"
+                    raise DegeneratePath(
+                        f"vertex {v!r} meets edge {e} exactly at waypoint {si + t} ({where})"
+                    )
+                if v not in moving and a not in moving and b not in moving:
+                    continue
                 if f.is_zero:
                     raise DegeneratePath(
                         f"vertex {v!r} stays collinear with edge {e} on segment {si}"

@@ -132,6 +132,12 @@ class TestMeasure:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["measure", "oracle"])
+    def test_repeated_subset_member(self, capsys, command):
+        code, out, err = run(capsys, command, fixture("c4boundary"), "--subset", "v2,v1,v2,v1")
+        assert (code, out) == (3, "")
+        assert err == "validation error: repeated subset members: v2,v1\n"
+
     def test_boundary_too_large_to_tabulate(self, capsys, tmp_path):
         g, c = K.generate_random_disc_graph("general", 17, 0, seed=1)
         path = tmp_path / "disc17.kg"
@@ -281,6 +287,36 @@ class TestInputErrors:
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out) == (3, "")
         assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+# One boundary vertex at (-1, 0), the one circle point without a half-angle parameter.
+ONE_BOUNDARY_VERTEX_AT_MINUS_ONE = {
+    "general": "vertex b plain -1 0\nvertex u plain 0 0\nvertex w plain 1/2 0\n"
+               "boundary b\nedge b u\nedge u w\n",
+    "bipartite": "vertex b white -1 0\nvertex x black 0 0\nvertex y white 1/2 0\n"
+                 "vertex z black 0 1/2\nboundary b\nedge x b\nedge x y\nedge z y\nedge z b\n",
+}
+
+
+class TestOneBoundaryVertexAtMinusOne:
+    @pytest.mark.parametrize("kind", ["general", "bipartite"])
+    def test_every_subcommand_answers(self, capsys, tmp_path, kind):
+        path = tmp_path / f"{kind}.kg"
+        path.write_text(ONE_BOUNDARY_VERTEX_AT_MINUS_ONE[kind])
+        g, c, _ = K.parse(path.read_text())
+        code, out, _ = run(capsys, "measure", str(path), "--json")
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert values and all(
+            val == str(K.oracle_measurement(g, key.split(",") if key else ()))
+            for key, val in values.items()
+        )
+        point = "pfaffian-point" if kind == "general" else "grassmann"
+        theorem = "5" if kind == "general" else "2"
+        for argv in (["matrix", "--theorem", theorem], [point]):
+            assert run(capsys, *argv, str(path))[0] == 0
+        if kind == "general":
+            assert run(capsys, "check", str(path))[0] == 0
 
 
 class TestExitPaths:

@@ -262,6 +262,27 @@ class TestCanonicalStart:
         for m in K.enumerate_matchings(g):
             assert K.matching_sign(g, start, m) == _pfaffian_term_sign(g, m, frozenset())
 
+    @pytest.mark.parametrize("bipartite", [False, True])
+    def test_one_boundary_vertex_at_minus_one(self, bipartite):
+        # (-1, 0) has no half-angle parameter, and the arc from the only
+        # boundary vertex back to itself is the rest of the circle.
+        if bipartite:
+            color = {"b": "white", "x": "black", "y": "white", "z": "black"}
+            edges = [("x", "b"), ("x", "y"), ("z", "y"), ("z", "b")]
+        else:
+            color = {}
+            edges = [("b", "x"), ("x", "y")]
+        g = K.make_graph(["b", "x", "y", "z"] if bipartite else ["b", "x", "y"], color, edges, ["b"])
+        c = {"b": (F(-1), F(0)), "x": (F(0), F(0)), "y": (F(1, 2), F(0)), "z": (F(0), F(1, 2))}
+        c = {v: c[v] for v in g.vertices}
+        for seed in range(3):
+            start = K.canonical_start(g, c, seed=seed)
+            assert start["b"] == c["b"] and K.is_immersion(g, start)
+        build = K.kasteleyn_matrix if bipartite else K.skew_kasteleyn_matrix
+        matrix = build(g, c)
+        for subset in ((), ("b",)):
+            assert matrix.measurement(subset) == K.oracle_measurement(g, subset)
+
     def test_off_circle_boundary_rejected(self, fan):
         g, c = fan
         broken = dict(c)

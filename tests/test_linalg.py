@@ -91,13 +91,13 @@ class TestMinor:
 class TestReduceLeftBlock:
     def test_zero_left_columns_is_identity(self):
         m = K.matrix([[1, 2], [3, 4]])
-        out = K.reduce_left_block(m, 0)
-        assert out.entries == m.entries
+        scale, out = K.reduce_left_block(m, 0)
+        assert scale == 1 and out.entries == m.entries
 
     def test_hand_example(self):
         m = K.matrix([[1, 1, 0], [0, 1, 1]])
-        out = K.reduce_left_block(m, 1)
-        assert out.shape == (1, 2)
+        scale, out = K.reduce_left_block(m, 1)
+        assert scale == 1 and out.shape == (1, 2)
         assert K.minor(out, [0], [0]) == K.minor(m, [0, 1], [0, 1]) == 1
         assert K.minor(out, [0], [1]) == K.minor(m, [0, 1], [0, 2]) == 1
 
@@ -114,12 +114,12 @@ class TestReduceLeftBlock:
             n = rng.randrange(k, 5)
             m = rand_matrix(rng, n_left + k, n_left + n)
             try:
-                out = K.reduce_left_block(m, n_left)
+                scale, out = K.reduce_left_block(m, n_left)
             except SingularLeftBlock:
                 continue
             for subset in combinations(range(n), k):
                 full = list(range(n_left)) + [n_left + j for j in subset]
-                assert K.minor(m, list(range(n_left + k)), full) == K.minor(
+                assert K.minor(m, list(range(n_left + k)), full) == scale * K.minor(
                     out, list(range(k)), list(subset)
                 )
 

@@ -1,8 +1,8 @@
 """One elimination per matrix kind, run once per matrix.
 
 `det` and `reduce_left_block` share one forward elimination; the left
-block must still equal, entry for entry, the Gauss-Jordan reduction it
-replaced (kept below).  `pfaffian_point` reads the skew matrix's cached
+block and its scale must still equal, entry for entry, the Gauss-Jordan
+reduction it replaced (kept below).  `pfaffian_point` reads the skew matrix's cached
 reduction; it must still equal the point built from full-size Pfaffian
 minors and `skew_congruence_reduce` (also kept below), and a matrix that
 serves a table and a point is reduced once.
@@ -27,7 +27,7 @@ F = Fraction
 
 
 def gauss_jordan_left_block(k_matrix, n_left):
-    """The Gauss-Jordan left-block reduction; returns (bottom, repaired)."""
+    """The Gauss-Jordan left-block reduction; returns (scale, bottom, repaired)."""
     n_rows, n_cols = k_matrix.shape
     work = [list(row) for row in k_matrix.entries]
     repaired = False
@@ -46,19 +46,15 @@ def gauss_jordan_left_block(k_matrix, n_left):
             factor = work[i][c] / pivot
             for j in range(n_cols):
                 work[i][j] -= factor * work[c][j]
-    if n_rows == n_left:
-        return K.RatMatrix((), (), tuple(k_matrix.col_labels[n_left:])), repaired
     pivot_product = F(1)
     for c in range(n_left):
         pivot_product *= work[c][c]
-    for j in range(n_cols):
-        work[n_left][j] *= pivot_product
     bottom = K.RatMatrix(
         tuple(tuple(work[i][j] for j in range(n_left, n_cols)) for i in range(n_left, n_rows)),
         tuple(k_matrix.row_labels[n_left:]),
         tuple(k_matrix.col_labels[n_left:]),
     )
-    return bottom, repaired
+    return pivot_product, bottom, repaired
 
 
 def sparse_matrix(rng, rows, cols):
@@ -81,15 +77,15 @@ class TestLeftBlockMatchesGaussJordan:
             k = rng.randrange(0, 4)
             m = sparse_matrix(rng, n_left + k, n_left + k + rng.randrange(0, 4))
             try:
-                want, repaired = gauss_jordan_left_block(m, n_left)
+                scale, want, repaired = gauss_jordan_left_block(m, n_left)
             except SingularLeftBlock as exc:
                 with pytest.raises(SingularLeftBlock) as got:
                     K.reduce_left_block(m, n_left)
                 assert str(got.value) == str(exc)
                 cases["singular"] += 1
                 continue
-            got = K.reduce_left_block(m, n_left)
-            assert got.entries == want.entries
+            got_scale, got = K.reduce_left_block(m, n_left)
+            assert got_scale == scale and got.entries == want.entries
             assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
             cases["reduced"] += 1
             cases["repaired"] += repaired
@@ -133,13 +129,23 @@ class TestDetWithZeroLeadingMinors:
 
 
 def reference_pfaffian_point(X):
-    """Full-size Pfaffian minors for D(empty) and the scan, then skew_congruence_reduce."""
+    """Full-size Pfaffian minors for D(empty) and the scan, then skew_congruence_reduce.
+
+    The minors come from `linalg`, not from `X.measurement`, which reads the
+    same reduction as the point under test.
+    """
     n = len(X.boundary)
-    base = X.measurement(())
+    internals = list(range(X.n_internal))
+
+    def full_minor(subset):
+        keep = internals + [X.n_internal + p for p in X.boundary_positions(subset)]
+        return linalg.pfaffian_minor(X.matrix, keep)
+
+    base = full_minor(())
     if base == 0:
         for size in range(n + 1):
             for subset in combinations(X.boundary, size):
-                if X.measurement(subset) != 0:
+                if full_minor(subset) != 0:
                     raise BaseCaseZero(
                         f"no boundary-avoiding matchings but trace {subset} is matchable"
                     )

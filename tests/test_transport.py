@@ -1,9 +1,13 @@
+import hashlib
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -144,7 +148,7 @@ class TestBuildPath:
     def test_empty_motion_for_all_boundary_graph(self, boundary_cycle):
         g, c = boundary_cycle
         path = K.build_path(g, c, seed=0)
-        assert len(path) - 1 == 0
+        assert path == (c, c)  # one still segment, so the drawing is checked
 
     def test_extra_waypoint_stays_pinned(self, fan):
         g, c = fan
@@ -316,6 +320,25 @@ class TestComputeSignedStructure:
         assert calls == {"differences": 2040, "pair_tests": 2040}
 
 
+    def test_target_checked_once(self, monkeypatch):
+        # Transport reads every contact from the pair's motion polynomials, so
+        # the builder's immersion check is the only caller of point_on_segment.
+        from kasteleyn import immersion
+
+        calls = []
+        real = immersion.point_on_segment
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(immersion, "point_on_segment", counted)
+        g, c = K.generate_grid(4, 4)
+        K.kasteleyn_matrix(g, c)
+        assert not hasattr(transport, "point_on_segment")
+        assert len(calls) == len(g.sorted_edges) * (len(g.vertices) - 2)
+
+
 class TestSerialization:
     def test_event_log_roundtrips_to_json(self):
         g, low, high = sweep_fixture()
@@ -342,3 +365,136 @@ class TestRetryBudget:
         g, c = K.generate_grid(2, 3)
         with pytest.raises(ValueError, match="max_retries must be nonnegative, not -1"):
             K.compute_signed_structure(g, c, max_retries=-1)
+
+
+def _outcome(g, waypoints) -> str:
+    """What `transport_signs` decides on a path: its refusal, or its event list."""
+    try:
+        result = K.transport_signs(g, waypoints)
+    except (ValueError, DegeneratePath) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "; ".join(f"{ev.segment}|{ev.vertex}|{ev.edge}|{ev.t}" for ev in result.events)
+
+
+def _contact_cases():
+    """Hand-made paths, each aimed at one contact decision, with its pinned outcome."""
+    line = K.make_graph(["a", "b", "v"], {}, [("a", "b")])
+    four = K.make_graph(["a", "b", "v", "w"], {}, [("a", "b")])
+    ab = {"a": (F(-1), F(0)), "b": (F(1), F(0))}
+    above, below = dict(ab, v=(F(0), F(1))), dict(ab, v=(F(0), F(-1)))
+    inside, at_b = dict(ab, v=(F(0), F(0))), dict(ab, v=(F(1), F(0)))
+    collapsed = {"a": (F(0), F(0)), "b": (F(0), F(0)), "v": (F(0), F(1))}
+    beyond = dict(ab, v=(F(3), F(0)))
+
+    def moved_w(config, x):
+        return dict(config, w=(F(x), F(5)))
+
+    endpoints = "ValueError: path endpoints must be immersions"
+    return {
+        "first waypoint, interior": (line, (inside, above), endpoints),
+        "first waypoint, endpoint": (line, (at_b, above), endpoints),
+        "last waypoint, interior": (line, (below, above, inside), endpoints),
+        "last waypoint, endpoint": (line, (above, at_b), endpoints),
+        "one still waypoint": (line, (at_b,), endpoints),
+        "interior waypoint, interior": (
+            line, (below, inside, above),
+            "DegeneratePath: vertex 'v' meets edge ('a', 'b') exactly at waypoint 1 (interior)",
+        ),
+        "interior waypoint, endpoint": (
+            line, (below, at_b, above),
+            "DegeneratePath: vertex 'v' meets edge ('a', 'b') exactly at waypoint 1 (endpoint)",
+        ),
+        "zero-length edge at the first waypoint": (line, (collapsed, above), endpoints),
+        "zero-length edge at an interior waypoint": (
+            line, (below, collapsed, above),
+            "DegeneratePath: vertex 'v' meets edge ('a', 'b') exactly at waypoint 1 (endpoint)",
+        ),
+        "static collinear vertex outside a static edge on a later segment": (
+            four, (moved_w(above, 0), moved_w(beyond, 1), moved_w(beyond, 2)), "",
+        ),
+        "static collinear vertex on a static edge on a later segment": (
+            four, (moved_w(above, 0), moved_w(above, 1), moved_w(inside, 2), moved_w(inside, 3)),
+            "DegeneratePath: vertex 'v' meets edge ('a', 'b') exactly at waypoint 2 (interior)",
+        ),
+        "tangency": (
+            line,
+            ({"a": (F(-1), F(1)), "b": (F(1), F(-1)), "v": (F(-1, 2), F(0))},
+             {"a": (F(-1), F(-1)), "b": (F(1), F(1)), "v": (F(1, 2), F(0))}),
+            "DegeneratePath: tangential contact of vertex 'v' with edge ('a', 'b') (segment 0)",
+        ),
+        "edge collapse": (
+            line,
+            ({"a": (F(-1), F(-1)), "b": (F(1), F(1)), "v": (F(0), F(1))},
+             {"a": (F(1), F(1)), "b": (F(-1), F(-1)), "v": (F(0), F(1))}),
+            "DegeneratePath: edge ('a', 'b') collapses while vertex 'v' is collinear (segment 0)",
+        ),
+        "endpoint passage": (
+            line, (dict(ab, v=(F(1), F(-1))), dict(ab, v=(F(1), F(1)))),
+            "DegeneratePath: vertex 'v' meets an endpoint of edge ('a', 'b') (segment 0)",
+        ),
+        "collinear slide": (
+            line, (beyond, dict(ab, v=(F(2), F(0)))),
+            "DegeneratePath: vertex 'v' stays collinear with edge ('a', 'b') on segment 0",
+        ),
+        "sweep": (line, (below, above), "0|v|('a', 'b')|1/2"),
+    }
+
+
+def _seeded_contact_corpus():
+    """Small graphs on a 5x5 integer lattice, where contacts at waypoints are common."""
+    rng = Random("transport-contact-corpus")
+    paths = []
+    for _ in range(300):
+        names = [f"p{i}" for i in range(rng.randrange(3, 6))]
+        edges = {tuple(rng.sample(names, 2)) for _ in range(rng.randrange(1, 4))}
+        boundary = [names[0]] if rng.random() < 0.3 else []
+        g = K.make_graph(names, {}, sorted(edges), boundary)
+        waypoints = []
+        for _ in range(rng.randrange(1, 4)):
+            config = {v: (F(rng.randrange(-2, 3)), F(rng.randrange(-2, 3))) for v in names}
+            if waypoints:
+                config.update({b: waypoints[0][b] for b in boundary})
+            waypoints.append(config)
+        paths.append((g, tuple(waypoints)))
+    return paths
+
+
+class TestPinnedContactDecisions:
+    """Every contact decision of `transport_signs`, pinned by its exact outcome."""
+
+    @pytest.mark.parametrize("name", list(_contact_cases()))
+    def test_hand_made_case(self, name):
+        g, waypoints, want = _contact_cases()[name]
+        assert _outcome(g, waypoints) == want
+
+    def test_retrying_colliding_fixture(self):
+        from kasteleyn.transport import derive_seed
+
+        g, target = colliding_fixture()
+        outcomes = [
+            _outcome(g, K.build_path(g, target, derive_seed(0, attempt), min(attempt, 1)))
+            for attempt in range(3)
+        ]
+        assert outcomes[0] == (
+            "DegeneratePath: vertex 'b2' meets an endpoint of edge ('b1', 'w1') (segment 0)"
+        )
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+        assert digest == "871de56e7e68a81a"
+
+    def test_seeded_corpus(self):
+        outcomes = [_outcome(g, waypoints) for g, waypoints in _seeded_contact_corpus()]
+        kinds = Counter(
+            re.sub(r"'[^']*'|\(.*?\)|\d+", "_", o) if ":" in o else ("events" if o else "none")
+            for o in outcomes
+        )
+        assert kinds == {
+            "none": 119,
+            "events": 38,
+            "ValueError: path endpoints must be immersions": 88,
+            "ValueError: boundary vertex _ meets edge _": 1,
+            "DegeneratePath: vertex _ meets an endpoint of edge _ _": 30,
+            "DegeneratePath: vertex _ meets edge _ exactly at waypoint _ _": 18,
+            "DegeneratePath: edge _ collapses while vertex _ is collinear _": 6,
+        }
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+        assert digest == "b7d8194c0807b2ae"
